@@ -3,7 +3,7 @@
 The source is a triangulated planar domain with a nonnegative density given
 per vertex and interpolated linearly inside each triangle.  The target is a
 finite set of weighted Dirac sites.  Both are immutable after construction;
-all derived quantities (triangle masses, density planes, neighbor order)
+all derived quantities (triangle masses, density planes, bounding boxes)
 are cached.
 
 File formats:
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import FormatError, ValidationError
 from .geom import MERGE_REL
@@ -200,29 +201,6 @@ class SiteSet:
     def __len__(self) -> int:
         return len(self.masses)
 
-    @cached_property
-    def neighbor_order(self) -> np.ndarray:
-        """(n, n-1) competitor indices sorted by distance then index.
-
-        Shared by every diagram build for a fixed site set; the ordering
-        does not depend on the weights.
-        """
-        n = len(self)
-        if n <= 1:
-            return np.empty((n, 0), dtype=np.int64)
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        idx = np.broadcast_to(np.arange(n), (n, n))
-        order = np.lexsort((idx, d2), axis=1)
-        return order[:, 1:]  # drop self (distance 0, smallest index tie-safe)
-
-    @cached_property
-    def neighbor_dist(self) -> np.ndarray:
-        """Distances matching :attr:`neighbor_order` row by row."""
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        return np.take_along_axis(d, self.neighbor_order, axis=1)
-
 
 def make_sites(positions, masses, mesh_mass: float, normalize: bool = False) -> SiteSet:
     """Validate site arrays against the mesh mass and build a SiteSet."""
@@ -245,11 +223,13 @@ def make_sites(positions, masses, mesh_mass: float, normalize: bool = False) -> 
         span = float(np.ptp(positions, axis=0).max())
         diam = math.hypot(*np.ptp(positions, axis=0)) if span > 0 else 0.0
         tol = COINCIDENCE_REL * diam
-        diff = positions[:, None, :] - positions[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(d, np.inf)
-        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-        if d[i, j] <= tol:
+        # the second-nearest site, counting itself, is its nearest other site
+        nearest = cKDTree(positions).query(positions, k=2)[0][:, 1]
+        i = int(np.argmin(nearest))  # lowest index of a closest pair
+        if nearest[i] <= tol:
+            d = np.sqrt(((positions - positions[i]) ** 2).sum(axis=1))
+            d[i] = np.inf
+            j = int(np.argmin(d))  # lowest index at that distance from i
             raise ValidationError(
                 f"coincident sites {min(i, j)} and {max(i, j)} at "
                 f"({positions[i, 0]:g}, {positions[i, 1]:g})"

@@ -2,11 +2,18 @@
 
 The cell of site ``j`` with weight ``psi_j`` is
 ``{x : |x - y_j|^2 - psi_j <= |x - y_k|^2 - psi_k for all k}``; with equal
-weights this is the Voronoi diagram.  Cells are built by clipping the mesh
-bounding box against power bisectors, visiting competitors in order of
-increasing distance and stopping at a provably safe radius, so pruning
-never changes the result.  Each cell is then intersected with the mesh
-triangles to produce fragments carrying the local affine density.
+weights this is the Voronoi diagram.  Lifting each site to
+``(y_j, |y_j|^2 - psi_j)`` turns cells into facets of the lower convex hull
+(Aurenhammer 1987, *Power diagrams*): two cells can share an edge only if
+their lifted sites share an edge of that hull, and a site that is not a
+vertex of any lower facet has an empty cell.  Each build computes the hull
+once (Qhull via ``scipy.spatial.ConvexHull``) and clips the mesh bounding
+box of every cell against the power bisectors of its hull neighbours only,
+about six per cell.  When the lifted set is flat (fewer than 4 sites, all
+sites collinear, or 4 cocircular sites at equal weights) Qhull has no
+hull, and every other site is clipped against instead.  Each cell is then
+intersected with the mesh triangles to produce fragments carrying the
+local affine density.
 
 Edges created by a bisector cut keep the competitor's index as a label,
 which is how interface segments (the support of the dual Hessian) are
@@ -20,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .domain import Mesh, SiteSet
 from .errors import ValidationError
@@ -99,9 +107,7 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
     bbox_rect: Polygon = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
     merge_tol = MERGE_REL * mesh.bbox_diameter
     area_drop = AREA_DROP_REL * max((x1 - x0) * (y1 - y0), merge_tol**2)
-    psi_max = float(psi.max())
-    order = sites.neighbor_order
-    dist = sites.neighbor_dist
+    neighbors = _power_neighbors(sites.positions, psi)
     tri_bb = mesh.tri_bboxes
     # native floats: the clipping loops box numpy scalars otherwise
     pos = [tuple(p) for p in sites.positions.tolist()]
@@ -114,8 +120,10 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
     masses = np.zeros(n)
 
     for j in range(n):
+        if neighbors[j] is None:  # hidden above the lower hull: empty cell
+            continue
         cell, labels, applied = _clip_cell(
-            bbox_rect, pos[j], psi_l[j], psi_l, psi_max, pos, order[j], dist[j], merge_tol
+            bbox_rect, pos[j], psi_l[j], psi_l, pos, neighbors[j], merge_tol
         )
         if not cell:
             continue
@@ -130,6 +138,7 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
             & (tri_bb[:, 3] >= min(cy) - merge_tol)
         )[0]
 
+        cuts = None  # the applied bisectors, built once a fragment needs them
         for t in cand.tolist():
             corners = tri_pts[t]
             poly, lab = cell, labels
@@ -143,9 +152,9 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
             if not poly or area(poly) < area_drop:
                 continue
             if BOUNDARY in lab:
-                lab = _relabel_boundary_edges(
-                    poly, lab, pos[j], psi_l[j], psi_l, pos, applied, merge_tol
-                )
+                if cuts is None:
+                    cuts = _cuts(pos[j], psi_l[j], psi_l, pos, applied, merge_tol)
+                lab = _relabel_boundary_edges(poly, lab, cuts)
 
             density = tri_rho[t]
             fragments.append(CellFragment(j, t, poly, density))
@@ -163,58 +172,86 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
     return diagram
 
 
-def _clip_cell(bbox_rect, yj, psi_j, psi, psi_max, pos, order_j, dist_j, merge_tol):
-    """Clip the bbox against bisectors of site j, nearest competitor first.
+def _power_neighbors(positions: np.ndarray, psi: np.ndarray) -> list[list[int] | None]:
+    """Candidate power neighbours of each site, in increasing index order.
 
-    Stops once every remaining competitor k satisfies
-    ``(d_k - R)^2 >= R^2 + psi_max - psi_j`` with ``d_k >= R``, where R is
-    the current polygon's max distance from the site: for points x of the
-    polygon, ``|x - y_k| >= d_k - R`` then forces the power distance to k
-    to exceed the one to j, so k cannot carve the polygon and neither can
-    any farther competitor.  Pruning therefore never changes the cell.
+    These are the edges of the lower facets (``equations[:, 2] < 0``) of the
+    convex hull of the lifted sites ``(y, |y|^2 - psi)``, a superset of the
+    pairs whose cells share an edge.  ``None`` marks a site that is no
+    vertex of a lower facet, whose cell is empty.  When Qhull finds the
+    lifted set flat, or there are fewer than 4 sites, every other site is a
+    candidate.
+    """
+    n = len(positions)
+    hull = None
+    if n >= 4:
+        # centring changes the lifted set by an affine map of the plane
+        # coordinates, which keeps the lower hull and improves conditioning
+        p = positions - positions.mean(axis=0)
+        lifted = np.column_stack([p, (p * p).sum(axis=1) - (psi - psi.mean())])
+        try:
+            hull = ConvexHull(lifted)
+        except QhullError:  # the lifted set is flat
+            pass
+    if hull is None:
+        return [[k for k in range(n) if k != j] for j in range(n)]
+    tri = hull.simplices[hull.equations[:, 2] < 0]
+    i = tri.ravel()
+    k = tri[:, [1, 2, 0]].ravel()
+    keys = np.unique(np.concatenate([i * n + k, k * n + i]))
+    starts = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
+    ks = (keys % n).tolist()
+    return [ks[a:b] if a < b else None for a, b in zip(starts, starts[1:])]
+
+
+def _clip_cell(bbox_rect, yj, psi_j, psi, pos, candidates, merge_tol):
+    """Clip the bbox against the bisectors of site j with its candidates.
+
+    ``candidates`` comes from :func:`_power_neighbors`: the lower-hull
+    neighbours of j, or every other site when the lifted set is flat.
+    Either way it contains every site whose cell can share an edge with
+    j's, so the result is the exact cell.  Returns the polygon, its edge
+    labels and the candidates clipped against, stopping early if the cell
+    becomes empty.
     """
     poly: Polygon = list(bbox_rect)
     labels = [BOUNDARY] * len(poly)
     applied: list[int] = []
-    yx, yy = yj
-    rsq = max((px - yx) ** 2 + (py - yy) ** 2 for px, py in poly)
-    gap = rsq + psi_max - psi_j  # >= 0 since psi_max >= psi_j
-    for k, d in zip(order_j.tolist(), dist_j.tolist()):
-        if d * d >= rsq:  # d >= R, the termination bound applies
-            s = d - math.sqrt(rsq)
-            if s * s >= gap:
-                break
+    for k in candidates:
         h = bisector(yj, psi_j, pos[k], psi[k])
         poly, labels = clip_labeled(poly, labels, h, k, merge_tol)
         applied.append(k)
         if not poly:
             break
-        rsq = max((px - yx) ** 2 + (py - yy) ** 2 for px, py in poly)
-        gap = rsq + psi_max - psi_j
     return poly, labels, applied
 
 
-def _relabel_boundary_edges(poly, labels, yj, psi_j, psi, pos, applied, merge_tol):
+def _cuts(yj, psi_j, psi, pos, applied, merge_tol):
+    """``(k, a, b, c, band)`` for each applied bisector of site j, in order."""
+    out = []
+    for k in applied:
+        a, b, c = bisector(yj, psi_j, pos[k], psi[k])
+        out.append((k, a, b, c, merge_tol * math.hypot(a, b)))
+    return out
+
+
+def _relabel_boundary_edges(poly, labels, cuts):
     """Recover interface edges that coincide with triangle boundaries.
 
     A bisector lying exactly on a mesh edge never cuts either neighboring
     triangle, so the shared edge keeps the BOUNDARY label; detect that case
-    by checking boundary-labelled edges against the applied bisectors.
+    by checking boundary-labelled edges against the applied bisectors
+    ``cuts`` (see :func:`_cuts`).
     """
     m = len(poly)
     out = list(labels)
     for e in range(m):
         if out[e] != BOUNDARY:
             continue
-        p = poly[e]
-        q = poly[(e + 1) % m]
-        for k in applied:
-            a, b, c = bisector(yj, psi_j, pos[k], psi[k])
-            band = merge_tol * math.hypot(a, b)
-            if (
-                abs(a * p[0] + b * p[1] - c) <= band
-                and abs(a * q[0] + b * q[1] - c) <= band
-            ):
+        px, py = poly[e]
+        qx, qy = poly[(e + 1) % m]
+        for k, a, b, c, band in cuts:
+            if abs(a * px + b * py - c) <= band and abs(a * qx + b * qy - c) <= band:
                 out[e] = k
                 break
     return out
@@ -240,12 +277,20 @@ def interface_weight(diagram: LaguerreDiagram, i: int, j: int) -> float:
     return total / (2.0 * math.hypot(yj[0] - yi[0], yj[1] - yi[1]))
 
 
-def assign(points: np.ndarray, sites: SiteSet, psi, chunk: int = 65536) -> np.ndarray:
-    """Classify points by power-distance argmin (ties to the lower index)."""
+def assign(
+    points: np.ndarray, sites: SiteSet, psi, chunk: int | None = None
+) -> np.ndarray:
+    """Classify points by power-distance argmin (ties to the lower index).
+
+    Points go through in blocks of ``chunk`` rows; by default a block's
+    ``chunk x n x 2`` temporary holds about 2**17 floats (1 MB).
+    """
     psi = np.asarray(psi, dtype=float)
     pts = np.asarray(points, dtype=float)
     out = np.empty(len(pts), dtype=np.int64)
     pos = sites.positions
+    if chunk is None:
+        chunk = max(1, 2**16 // len(pos))
     for lo in range(0, len(pts), chunk):
         block = pts[lo : lo + chunk]
         d2 = ((block[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2) - psi[None, :]

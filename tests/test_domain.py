@@ -107,6 +107,24 @@ class TestSites:
                 [[0.2, 0.5], [0.8, 0.5], [0.2, 0.5]], [0.3, 0.4, 0.3], 1.0
             )
 
+    def test_coincidence_names_closest_pair_among_many(self):
+        rng = np.random.default_rng(11)
+        positions = rng.random((2000, 2))
+        positions[1999] = positions[300] + [1e-12, 0.0]
+        positions[1500] = positions[700] + [0.0, 1e-13]
+        masses = np.full(2000, 1 / 2000)
+        with pytest.raises(ValidationError, match=r"coincident sites 700 and 1500"):
+            domain.make_sites(positions, masses, 1.0)
+        # a tie goes to the lowest indices
+        positions[1500] = positions[700]
+        positions[1999] = positions[300]
+        with pytest.raises(ValidationError, match=r"coincident sites 300 and 1999"):
+            domain.make_sites(positions, masses, 1.0)
+
+    def test_all_sites_at_one_point_rejected(self):
+        with pytest.raises(ValidationError, match=r"coincident sites 0 and 1"):
+            domain.make_sites(np.full((5, 2), 0.5), np.full(5, 0.2), 1.0)
+
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(ValidationError, match="non-positive mass"):
             domain.make_sites([[0.2, 0.5], [0.8, 0.5]], [1.0, 0.0], 1.0)
@@ -124,14 +142,6 @@ class TestSites:
         path = write(tmp_path, "s.csv", "a,b,c\n0,0,1\n")
         with pytest.raises(FormatError, match="expected header"):
             domain.load_sites(path, 1.0)
-
-    def test_neighbor_order_sorted_by_distance(self):
-        rng = np.random.default_rng(4)
-        sites = domain.make_sites(rng.random((20, 2)), np.full(20, 1 / 20), 1.0)
-        for j in range(20):
-            d = np.linalg.norm(sites.positions[sites.neighbor_order[j]] - sites.positions[j], axis=1)
-            assert (np.diff(d) >= -1e-15).all()
-            assert j not in sites.neighbor_order[j]
 
 
 class TestSample:

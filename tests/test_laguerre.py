@@ -5,7 +5,7 @@ import pytest
 
 from sdot import domain, laguerre
 from sdot.errors import ValidationError
-from sdot.geom import area, polygon_contains
+from sdot.geom import MERGE_REL, area, clip_labeled, polygon_contains
 
 from conftest import random_problem
 
@@ -224,3 +224,76 @@ class TestAssign:
         got = laguerre.assign(pts, sites, psi, chunk=64)
         d2 = ((pts[:, None, :] - sites.positions[None, :, :]) ** 2).sum(axis=2) - psi
         assert np.array_equal(got, np.argmin(d2, axis=1))
+
+    def test_chunking_does_not_change_output(self):
+        mesh, sites = random_problem(300, seed=6)
+        rng = np.random.default_rng(7)
+        psi = rng.uniform(-0.01, 0.01, 300)
+        pts = rng.random((2000, 2))
+        got = laguerre.assign(pts, sites, psi)
+        assert np.array_equal(got, laguerre.assign(pts, sites, psi, chunk=1))
+        assert np.array_equal(got, laguerre.assign(pts, sites, psi, chunk=len(pts)))
+
+
+def reference_cells(mesh, sites, psi):
+    """Brute force: clip the bbox of each cell by every other site's bisector."""
+    x0, y0, x1, y1 = mesh.bbox
+    merge_tol = MERGE_REL * mesh.bbox_diameter
+    pos = [tuple(p) for p in sites.positions.tolist()]
+    cells = []
+    for j in range(len(pos)):
+        poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        labels = [laguerre.BOUNDARY] * 4
+        for k in range(len(pos)):
+            if k != j and poly:
+                h = laguerre.bisector(pos[j], psi[j], pos[k], psi[k])
+                poly, labels = clip_labeled(poly, labels, h, k, merge_tol)
+        cells.append((poly, labels))
+    return cells
+
+
+def _grid(k, lo, step):
+    # dyadic coordinates: the lifted sites of each grid square are exactly coplanar
+    xs = lo + step * np.arange(k)
+    return np.array([(x, y) for y in xs for x in xs])
+
+
+def _battery():
+    rng = np.random.default_rng(2024)
+    grid = _grid(5, 0.125, 0.1875)
+    line = np.linspace(0.1, 0.9, 7)
+    yield pytest.param(grid, np.zeros(25), id="grid-zero")
+    yield pytest.param(grid, rng.uniform(-0.01, 0.01, 25), id="grid-random")
+    yield pytest.param(_grid(2, 0.25, 0.5), np.zeros(4), id="cocircular-four")
+    yield pytest.param(
+        np.column_stack([line, np.full(7, 0.5)]), np.zeros(7), id="horizontal-line"
+    )
+    yield pytest.param(
+        np.column_stack([line, line]), rng.uniform(-0.01, 0.01, 7), id="diagonal-line"
+    )
+    on_edge = np.column_stack([np.linspace(0.05, 0.95, 6), np.zeros(6)])
+    yield pytest.param(
+        np.vstack([on_edge, rng.random((10, 2))]), np.zeros(16), id="boundary-row"
+    )
+    for n in (1, 2, 3):
+        yield pytest.param(
+            rng.random((n, 2)), rng.uniform(-0.01, 0.01, n), id=f"{n}-sites"
+        )
+    yield pytest.param(rng.uniform(-0.3, 1.3, (50, 2)), np.zeros(50), id="outside-square")
+    yield pytest.param(rng.random((40, 2)), rng.uniform(-0.1, 0.1, 40), id="hidden-cells")
+    for i in range(3):
+        yield pytest.param(
+            rng.random((60, 2)), rng.uniform(-0.005, 0.005, 60), id=f"random-{i}"
+        )
+
+
+@pytest.mark.parametrize("positions, psi", _battery())
+def test_build_matches_brute_force(unit_square, positions, psi):
+    """The hull-neighbour build equals clipping by every other site."""
+    n = len(positions)
+    sites = domain.make_sites(positions, np.full(n, 1.0 / n), 1.0)
+    diag = laguerre.build(unit_square, sites, psi)
+    cells = reference_cells(unit_square, sites, psi)
+    assert diag.masses == pytest.approx([area(poly) for poly, _ in cells], abs=1e-12)
+    keys = {(j, k) for j, (_, labels) in enumerate(cells) for k in labels if k > j}
+    assert set(diag.interfaces) == keys
