@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -180,15 +182,28 @@ def load_mesh(path) -> Mesh:
     return make_mesh(vertices, densities, triangles)
 
 
+def _atomic_write(path, data: str) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sdot-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_mesh(mesh: Mesh, path) -> None:
-    """Write a mesh in the ``.dmesh`` format with full-precision reals."""
+    """Write a mesh in the ``.dmesh`` format with full-precision reals, atomically."""
     lines = [f"{len(mesh.vertices)} {len(mesh.triangles)}"]
     for (x, y), rho in zip(mesh.vertices, mesh.densities):
         lines.append(f"{x:.17g} {y:.17g} {rho:.17g}")
     for i, j, k in mesh.triangles:
         lines.append(f"{i} {j} {k}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,9 +9,11 @@ their lifted sites share an edge of that hull, and a site that is not a
 vertex of any lower facet has an empty cell.  Each build computes the hull
 once (Qhull via ``scipy.spatial.ConvexHull``) and clips the mesh bounding
 box of every cell against the power bisectors of its hull neighbours only,
-about six per cell.  When the lifted set is flat (fewer than 4 sites, all
-sites collinear, or 4 cocircular sites at equal weights) Qhull has no
-hull, and every other site is clipped against instead.  Each cell is then
+about six per cell.  When the sites are collinear the lifted set is flat and
+Qhull has no hull; the cells are then slabs whose neighbours come from the
+one-dimensional lower hull over the sites' line.  With fewer than 4 sites,
+or another flat lifted set (such as 4 cocircular sites at equal weights),
+every other site is clipped against instead.  Each cell is then
 intersected with the mesh triangles to produce fragments carrying the
 local affine density.
 
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .domain import Mesh, SiteSet
 from .errors import ValidationError
@@ -94,14 +96,19 @@ def bisector(y_i: Point, psi_i: float, y_j: Point, psi_j: float) -> HalfPlane:
     return (a, b, c)
 
 
-def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
-    """Construct the Laguerre diagram of ``(sites, psi)`` restricted to the mesh."""
+def _checked_psi(psi, n: int) -> np.ndarray:
     psi = np.asarray(psi, dtype=float)
-    n = len(sites)
     if psi.shape != (n,):
         raise ValidationError(f"psi must have {n} entries, got shape {psi.shape}")
     if not np.isfinite(psi).all():
         raise ValidationError("non-finite weight")
+    return psi
+
+
+def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
+    """Construct the Laguerre diagram of ``(sites, psi)`` restricted to the mesh."""
+    n = len(sites)
+    psi = _checked_psi(psi, n)
 
     x0, y0, x1, y1 = mesh.bbox
     bbox_rect: Polygon = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
@@ -179,8 +186,10 @@ def _power_neighbors(positions: np.ndarray, psi: np.ndarray) -> list[list[int] |
     convex hull of the lifted sites ``(y, |y|^2 - psi)``, a superset of the
     pairs whose cells share an edge.  ``None`` marks a site that is no
     vertex of a lower facet, whose cell is empty.  When Qhull finds the
-    lifted set flat, or there are fewer than 4 sites, every other site is a
-    candidate.
+    lifted set flat because the sites are collinear, the neighbours come
+    from the lower hull of the sites lifted over their line instead (see
+    :func:`_line_neighbors`).  With fewer than 4 sites, or a flat lifted set
+    of sites that are not collinear, every other site is a candidate.
     """
     n = len(positions)
     hull = None
@@ -188,11 +197,13 @@ def _power_neighbors(positions: np.ndarray, psi: np.ndarray) -> list[list[int] |
         # centring changes the lifted set by an affine map of the plane
         # coordinates, which keeps the lower hull and improves conditioning
         p = positions - positions.mean(axis=0)
-        lifted = np.column_stack([p, (p * p).sum(axis=1) - (psi - psi.mean())])
+        q = psi - psi.mean()
         try:
-            hull = ConvexHull(lifted)
+            hull = ConvexHull(np.column_stack([p, (p * p).sum(axis=1) - q]))
         except QhullError:  # the lifted set is flat
-            pass
+            _, sv, axes = np.linalg.svd(p, full_matrices=False)
+            if sv[1] <= 1e-12 * sv[0]:  # collinear sites
+                return _line_neighbors(p @ axes[0], q)
     if hull is None:
         return [[k for k in range(n) if k != j] for j in range(n)]
     tri = hull.simplices[hull.equations[:, 2] < 0]
@@ -204,15 +215,39 @@ def _power_neighbors(positions: np.ndarray, psi: np.ndarray) -> list[list[int] |
     return [ks[a:b] if a < b else None for a, b in zip(starts, starts[1:])]
 
 
+def _line_neighbors(t: np.ndarray, q: np.ndarray) -> list[list[int] | None]:
+    """Power neighbours of collinear sites at positions ``t`` on their line.
+
+    The cells are slabs across the line, ordered as the vertices of the
+    lower hull of ``(t, t^2 - q)`` (monotone chain), so each hull vertex
+    has its predecessor and successor as candidates and every other site
+    has an empty cell (``None``).
+    """
+    tl = t.tolist()
+    z = (t * t - q).tolist()
+    hull: list[int] = []
+    for i in np.lexsort((z, t)).tolist():
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (tl[b] - tl[a]) * (z[i] - z[a]) - (z[b] - z[a]) * (tl[i] - tl[a]) > 0:
+                break
+            hull.pop()
+        hull.append(i)
+    out: list[list[int] | None] = [None] * len(tl)
+    for h, j in enumerate(hull):
+        out[j] = sorted(hull[max(h - 1, 0) : h] + hull[h + 1 : h + 2])
+    return out
+
+
 def _clip_cell(bbox_rect, yj, psi_j, psi, pos, candidates, merge_tol):
     """Clip the bbox against the bisectors of site j with its candidates.
 
     ``candidates`` comes from :func:`_power_neighbors`: the lower-hull
-    neighbours of j, or every other site when the lifted set is flat.
-    Either way it contains every site whose cell can share an edge with
-    j's, so the result is the exact cell.  Returns the polygon, its edge
-    labels and the candidates clipped against, stopping early if the cell
-    becomes empty.
+    neighbours of j, or every other site when the lifted set is flat and
+    the sites are not collinear.  Either way it contains every site whose
+    cell can share an edge with j's, so the result is the exact cell.
+    Returns the polygon, its edge labels and the candidates clipped against,
+    stopping early if the cell becomes empty.
     """
     poly: Polygon = list(bbox_rect)
     labels = [BOUNDARY] * len(poly)
@@ -282,17 +317,53 @@ def assign(
 ) -> np.ndarray:
     """Classify points by power-distance argmin (ties to the lower index).
 
-    Points go through in blocks of ``chunk`` rows; by default a block's
-    ``chunk x n x 2`` temporary holds about 2**17 floats (1 MB).
+    Lifting site j to ``(y_j, sqrt(max psi - psi_j))`` and a point x to
+    ``(x, 0)`` makes their squared Euclidean distance the power distance
+    plus ``max psi``, so the power argmin is a nearest-neighbour query
+    (Aurenhammer 1987).  A ``cKDTree`` on the lifted sites gives each point
+    its ``min(4, n)`` nearest candidates, whose power distances are then
+    recomputed exactly as the dense argmin over all sites would.  A row
+    whose k-th lifted distance is not clearly above its best candidate's
+    could have its argmin outside the candidates; such rows take the dense
+    argmin, so the result equals the dense one bit for bit.  Points go
+    through in blocks of ``chunk`` rows, by default 2**14, so a block's
+    temporaries hold about 2**17 floats (1 MB).
     """
-    psi = np.asarray(psi, dtype=float)
+    psi = _checked_psi(psi, len(sites))
     pts = np.asarray(points, dtype=float)
-    out = np.empty(len(pts), dtype=np.int64)
+    if not np.isfinite(pts).all():
+        raise ValidationError("non-finite point")
     pos = sites.positions
+    n = len(pos)
+    out = np.empty(len(pts), dtype=np.int64)
+    if not len(pts):
+        return out
     if chunk is None:
-        chunk = max(1, 2**16 // len(pos))
+        chunk = 2**14
+    k = min(4, n)
+    top = float(psi.max())
+    tree = cKDTree(np.column_stack([pos, np.sqrt(top - psi)]))
+    corners = np.vstack([pts.min(axis=0), pts.max(axis=0), pos.min(axis=0), pos.max(axis=0)])
+    diag2 = float((np.ptp(corners, axis=0) ** 2).sum())
+    # far above the rounding of either distance; max |psi| bounds the spread
+    # of psi and covers the rounding of power distances under a large gauge
+    margin = 1e-9 * (float(np.abs(psi).max()) + diag2 + 1.0)
     for lo in range(0, len(pts), chunk):
         block = pts[lo : lo + chunk]
-        d2 = ((block[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2) - psi[None, :]
-        out[lo : lo + chunk] = np.argmin(d2, axis=1)
+        m = len(block)
+        dist, cand = tree.query(np.column_stack([block, np.zeros(m)]), k=k)
+        cand = np.sort(cand.reshape(m, k), axis=1)  # ties go to the lower index
+        d2 = ((block[:, None, :] - pos[cand]) ** 2).sum(axis=2) - psi[cand]
+        best = np.argmin(d2, axis=1)
+        rows = np.arange(m)
+        got = cand[rows, best]
+        if k < n:
+            kth = dist.reshape(m, k)[:, -1] ** 2
+            unsure = np.nonzero(kth <= d2[rows, best] + top + margin)[0]
+            step = max(1, 2**16 // n)
+            for a in range(0, len(unsure), step):
+                r = unsure[a : a + step]
+                full = ((block[r, None, :] - pos[None, :, :]) ** 2).sum(axis=2) - psi[None, :]
+                got[r] = np.argmin(full, axis=1)
+        out[lo : lo + m] = got
     return out

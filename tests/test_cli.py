@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sdot import cli, domain
+from sdot.transport import InterpolationFrame
 
 SITES_CSV = "x,y,nu\n0.25,0.5,0.75\n0.75,0.5,0.25\n"
 
@@ -36,6 +38,14 @@ class TestMakeMesh:
         cli.main(["make-mesh", "--square", "3", "--density", "linear-x", "--out", str(a)])
         cli.main(["make-mesh", "--square", "3", "--density", "linear-x", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_equal_save_mesh(self, tmp_path):
+        out = tmp_path / "cli.dmesh"
+        saved = tmp_path / "saved.dmesh"
+        assert cli.main(["make-mesh", "--square", "3", "--density", "linear-y",
+                         "--out", str(out)]) == 0
+        domain.save_mesh(domain.square_mesh(3, "linear-y"), saved)
+        assert out.read_bytes() == saved.read_bytes()
 
     def test_zero_resolution_rejected(self, tmp_path, capsys):
         code = cli.main(["make-mesh", "--square", "0", "--out", str(tmp_path / "x.dmesh")])
@@ -187,6 +197,38 @@ class TestInterpolate:
             assert [float(x), float(y)] == pytest.approx(
                 list(sites.positions[int(site)])
             )
+
+
+def per_row_frames(frames, out_dir):
+    """Reference writer: one f-string per row, 17-digit reals."""
+    out_dir.mkdir()
+    for idx, frame in enumerate(frames):
+        rows = ["t,x,y,site"]
+        t = format(float(frame.t), ".17g")
+        for (x, y), s in zip(frame.points, frame.source_site):
+            rows.append(f"{t},{format(float(x), '.17g')},{format(float(y), '.17g')},{int(s)}")
+        (out_dir / f"frame_{idx}.csv").write_text("\n".join(rows) + "\n")
+
+
+class TestWriteFrames:
+    def test_bytes_equal_per_row_formatting(self, tmp_path):
+        rng = np.random.default_rng(5)
+        points = np.vstack([
+            [[-0.0, 0.0], [1e-300, -1e-300], [1e17, -1e17], [0.1, 1 / 3],
+             [5e-324, 1.7976931348623157e308], [123456789.0, -2.5]],
+            rng.normal(size=(200, 2)) * 10.0 ** rng.integers(-20, 20, (200, 1)),
+        ])
+        site = rng.integers(0, 10**6, len(points))
+        frames = [
+            InterpolationFrame(t, points, site) for t in (0.0, 1.0, 0.1, 1 / 3)
+        ] + [InterpolationFrame(0.5, np.empty((0, 2)), np.empty(0, dtype=np.int64))]
+        paths = cli.write_frames(frames, str(tmp_path / "new"))
+        per_row_frames(frames, tmp_path / "old")
+        names = [f"frame_{i}.csv" for i in range(len(frames))]
+        assert paths == [str(tmp_path / "new" / name) for name in names]
+        for name in names:
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+        assert (tmp_path / "new" / "frame_4.csv").read_text() == "t,x,y,site\n"
 
 
 class TestCheck:

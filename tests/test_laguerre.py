@@ -215,7 +215,81 @@ class TestDiagramProperties:
         assert per_area == pytest.approx(float(mesh.tri_areas[0]), rel=1e-12)
 
 
+def dense_argmin(pts, pos, psi):
+    """Power argmin against every site, ties to the lower index."""
+    d2 = ((pts[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2) - psi[None, :]
+    return np.argmin(d2, axis=1)
+
+
 class TestAssign:
+    def test_matches_dense_on_many_sites(self):
+        rng = np.random.default_rng(11)
+        pos = rng.random((1000, 2))
+        sites = domain.make_sites(pos, np.full(1000, 1e-3), 1.0)
+        psi = rng.uniform(-0.01, 0.01, 1000)
+        pts = rng.random((20000, 2))
+        got = laguerre.assign(pts, sites, psi)
+        assert np.array_equal(got, dense_argmin(pts, sites.positions, psi))
+
+    @pytest.mark.parametrize("weight", [0.0, 0.375])
+    def test_exact_ties_go_to_lower_index(self, weight):
+        # dyadic grid: points on the lines x, y = 0.25 * i are exactly on
+        # bisectors, and grid-square centres tie four ways
+        pos = _grid(4, 0.125, 0.25)
+        sites = domain.make_sites(pos, np.full(16, 1 / 16), 1.0)
+        psi = np.full(16, weight)
+        ticks = np.arange(-16, 81) / 64
+        pts = np.array([(x, y) for y in ticks for x in ticks])
+        got = laguerre.assign(pts, sites, psi)
+        ref = dense_argmin(pts, sites.positions, psi)
+        assert np.array_equal(got, ref)
+        d2 = ((pts[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+        ties = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1)
+        assert (ties == 4).sum() > 0 and (ties == 2).sum() > 0
+
+    def test_near_ties_beyond_the_candidates(self):
+        # with psi_j = |c - y_j|^2 every site is at power distance 0 from c up
+        # to rounding, which the lifted tree and the dense argmin round
+        # differently, so the rows at c must take the dense path
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            c = rng.random(2)
+            angle = rng.uniform(0, 2 * np.pi, 40)
+            radius = rng.uniform(0.05, 0.4, 40)
+            pos = c + radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+            sites = domain.make_sites(pos, np.full(40, 1 / 40), 1.0)
+            psi = ((c - pos) ** 2).sum(axis=1)
+            pts = np.vstack([c, rng.random((100, 2))])
+            got = laguerre.assign(pts, sites, psi)
+            assert np.array_equal(got, dense_argmin(pts, sites.positions, psi))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fewer_sites_than_candidates(self, n):
+        rng = np.random.default_rng(n)
+        sites = domain.make_sites(rng.random((n, 2)), np.full(n, 1 / n), 1.0)
+        psi = rng.uniform(-0.1, 0.1, n)
+        pts = rng.uniform(-1.0, 2.0, (3000, 2))
+        got = laguerre.assign(pts, sites, psi, chunk=700)
+        assert np.array_equal(got, dense_argmin(pts, sites.positions, psi))
+
+    def test_points_outside_site_hull(self):
+        rng = np.random.default_rng(12)
+        pos = 0.4 + 0.2 * rng.random((200, 2))
+        sites = domain.make_sites(pos, np.full(200, 1 / 200), 1.0)
+        psi = rng.uniform(-0.002, 0.002, 200)
+        angle = rng.uniform(0, 2 * np.pi, 5000)
+        radius = rng.uniform(0.2, 50.0, 5000)
+        pts = 0.5 + radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        got = laguerre.assign(pts, sites, psi)
+        assert np.array_equal(got, dense_argmin(pts, sites.positions, psi))
+
+    def test_non_finite_input_rejected(self):
+        sites = domain.make_sites([[0.2, 0.5], [0.8, 0.5]], [0.5, 0.5], 1.0)
+        with pytest.raises(ValidationError, match="non-finite weight"):
+            laguerre.assign(np.zeros((3, 2)), sites, [0.0, np.nan])
+        with pytest.raises(ValidationError, match="non-finite point"):
+            laguerre.assign(np.array([[0.5, np.inf]]), sites, [0.0, 0.0])
+
     def test_matches_bruteforce(self):
         mesh, sites = random_problem(7, seed=2)
         rng = np.random.default_rng(0)
@@ -285,6 +359,12 @@ def _battery():
         yield pytest.param(
             rng.random((60, 2)), rng.uniform(-0.005, 0.005, 60), id=f"random-{i}"
         )
+    along = np.linspace(0.02, 0.98, 30)
+    yield pytest.param(
+        np.column_stack([along, 0.3 + 0.5 * along]),
+        rng.uniform(-0.02, 0.02, 30),
+        id="collinear-spread-weights",
+    )
 
 
 @pytest.mark.parametrize("positions, psi", _battery())
@@ -297,3 +377,13 @@ def test_build_matches_brute_force(unit_square, positions, psi):
     assert diag.masses == pytest.approx([area(poly) for poly, _ in cells], abs=1e-12)
     keys = {(j, k) for j, (_, labels) in enumerate(cells) for k in labels if k > j}
     assert set(diag.interfaces) == keys
+
+
+def test_collinear_sites_have_at_most_two_neighbours():
+    x = np.linspace(0.001, 0.999, 400)
+    positions = np.column_stack([x, np.full(400, 0.5)])
+    rng = np.random.default_rng(400)
+    for psi in (np.zeros(400), rng.uniform(-1e-3, 1e-3, 400)):
+        neighbors = laguerre._power_neighbors(positions, psi)
+        assert max(len(c) for c in neighbors if c is not None) <= 2
+    assert any(c is None for c in neighbors)  # random weights hide sites
