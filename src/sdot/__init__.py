@@ -10,7 +10,7 @@ from .dual import SparseHessian, gradient, hessian, value
 from .errors import SdotError, SolverError, ValidationError
 from .laguerre import LaguerreDiagram, assign, bisector, build, interface_weight
 from .solver import SolveReport, SolverOptions, newton, solve_gauge_fixed
-from .transport import InterpolationFrame, TransportSummary, barycenters, interpolate, wasserstein2
+from .transport import InterpolationFrame, barycenters, interpolate, wasserstein2
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "newton",
     "solve_gauge_fixed",
     "InterpolationFrame",
-    "TransportSummary",
     "barycenters",
     "interpolate",
     "wasserstein2",

@@ -50,69 +50,56 @@ def gradient(diagram: LaguerreDiagram, sites: SiteSet) -> np.ndarray:
 class SparseHessian:
     """Symmetric interface-supported Hessian of K.
 
-    ``pairs`` maps each adjacent ``(i, j)`` with ``i < j`` to the positive
-    off-diagonal entry; ``diag`` holds the negative row sums.
+    Row ``p`` of the ``(m, 2)`` integer array ``pairs`` is an adjacent
+    ``(i, j)`` with ``i < j``, the rows in sorted order, and ``weights[p]``
+    is its positive off-diagonal entry; ``diag`` holds the negative row sums.
     """
 
     n: int
-    pairs: dict[tuple[int, int], float]
+    pairs: np.ndarray
+    weights: np.ndarray
     diag: np.ndarray
 
     def as_dense(self) -> np.ndarray:
-        h = np.diag(self.diag.copy())
-        for (i, j), w in self.pairs.items():
-            h[i, j] = w
-            h[j, i] = w
+        h = np.diag(self.diag)
+        i, j = self.pairs.T
+        h[i, j] = self.weights
+        h[j, i] = self.weights
         return h
 
     def row_sums(self) -> np.ndarray:
-        # same accumulation order as the constructor, so diag cancels exactly
-        off = np.zeros(self.n)
-        for (i, j), w in self.pairs.items():
-            off[i] += w
-            off[j] += w
-        return self.diag + off
+        return self.diag + _off_sums(self.n, self.pairs, self.weights)
 
     def neg_reduced(self, pin: int) -> sparse.csc_matrix:
         """Negated Hessian with the pinned row/column removed (SPD if connected)."""
-        keep = np.arange(self.n) != pin
-        remap = np.cumsum(keep) - 1
-        rows, cols, vals = [], [], []
-        for i in range(self.n):
-            if i != pin:
-                rows.append(remap[i])
-                cols.append(remap[i])
-                vals.append(-self.diag[i])
-        for (i, j), w in self.pairs.items():
-            if i != pin and j != pin:
-                rows.extend((remap[i], remap[j]))
-                cols.extend((remap[j], remap[i]))
-                vals.extend((-w, -w))
+        keep = (self.pairs != pin).all(axis=1)
+        p = self.pairs[keep]
+        p = p - (p > pin)
+        w = -self.weights[keep]
         m = self.n - 1
+        d = np.arange(m)
+        rows = np.concatenate([d, p[:, 0], p[:, 1]])
+        cols = np.concatenate([d, p[:, 1], p[:, 0]])
+        vals = np.concatenate([-np.delete(self.diag, pin), w, w])
         return sparse.csc_matrix((vals, (rows, cols)), shape=(m, m))
 
     def adjacency_components(self) -> list[list[int]]:
         """Connected components of the positive-weight adjacency graph."""
-        rows, cols = [], []
-        for (i, j), w in self.pairs.items():
-            if w > 0.0:
-                rows.extend((i, j))
-                cols.extend((j, i))
-        g = sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n)
-        )
+        p = self.pairs[self.weights > 0.0]
+        g = sparse.csr_matrix((np.ones(len(p)), (p[:, 0], p[:, 1])), shape=(self.n, self.n))
         count, labels = connected_components(g, directed=False)
         return [np.nonzero(labels == c)[0].tolist() for c in range(count)]
+
+
+def _off_sums(n: int, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # pair by pair, i then j: one fixed order, so diag + these sums is exactly 0
+    return np.bincount(pairs.ravel(), np.repeat(weights, 2), minlength=n)
 
 
 def hessian(diagram: LaguerreDiagram, sites: SiteSet) -> SparseHessian:
     """Assemble the interface-supported Hessian from the diagram."""
     n = len(sites)
-    off = np.zeros(n)
-    pairs: dict[tuple[int, int], float] = {}
-    for pair in sorted(diagram.interfaces):
-        w = interface_weight(diagram, *pair)
-        pairs[pair] = w
-        off[pair[0]] += w
-        off[pair[1]] += w
-    return SparseHessian(n, pairs, -off)
+    keys = sorted(diagram.interfaces)
+    pairs = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    weights = np.array([interface_weight(diagram, i, j) for i, j in keys])
+    return SparseHessian(n, pairs, weights, -_off_sums(n, pairs, weights))

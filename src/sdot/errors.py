@@ -51,6 +51,29 @@ class DisconnectedAdjacencyError(SolverError):
 class LinearSolveError(SolverError):
     """The inner SPD solve missed its relative-residual contract."""
 
+    def __init__(self, residual, target):
+        self.residual = residual
+        self.target = target
+        super().__init__(
+            f"inner solve stalled at relative residual {residual:.3e} (target {target:.1e})"
+        )
+
 
 class LineSearchError(SolverError):
-    """No damped step satisfied the acceptance rule within the halving cap."""
+    """No damped step satisfied the acceptance rule within the halving cap.
+
+    Carries the Newton iteration, the gradient sup-norm before the step, the
+    last step length tried, the smallest cell mass at that step and the
+    mass floor ``eps0``.
+    """
+
+    def __init__(self, halvings, iteration, grad_norm, tau, min_mass, eps0):
+        self.iteration = iteration
+        self.grad_norm = grad_norm
+        self.tau = tau
+        self.min_mass = min_mass
+        self.eps0 = eps0
+        super().__init__(
+            f"no acceptable step after {halvings} halvings "
+            f"at iteration {iteration} (|g| = {grad_norm:.3e})"
+        )

@@ -37,33 +37,10 @@ def clip(poly: Polygon, h: HalfPlane, merge_tol: float = 0.0) -> Polygon:
 
     Returns a new polygon (possibly empty).  Vertices within ``merge_tol``
     of the boundary line count as inside, which keeps shared boundaries
-    stable under repeated clipping.
+    stable under repeated clipping.  This is :func:`clip_labeled` with the
+    edge labels dropped.
     """
-    n = len(poly)
-    if n == 0:
-        return []
-    a, b, c = h
-    band = merge_tol * math.hypot(a, b)
-    f = [a * px + b * py - c for px, py in poly]
-    out: Polygon = []
-    for i in range(n):
-        j = i + 1 if i + 1 < n else 0
-        fi = f[i]
-        fj = f[j]
-        if fi <= band:
-            out.append(poly[i])
-            if fj > band:
-                # clamp against band-induced extrapolation on near-parallel edges
-                t = min(max(fi / (fi - fj), 0.0), 1.0)
-                pi = poly[i]
-                pj = poly[j]
-                out.append((pi[0] + t * (pj[0] - pi[0]), pi[1] + t * (pj[1] - pi[1])))
-        elif fj <= band:
-            t = min(max(fi / (fi - fj), 0.0), 1.0)
-            pi = poly[i]
-            pj = poly[j]
-            out.append((pi[0] + t * (pj[0] - pi[0]), pi[1] + t * (pj[1] - pi[1])))
-    return _merged(out, merge_tol)
+    return clip_labeled(poly, [0] * len(poly), h, 0, merge_tol)[0]
 
 
 def clip_labeled(
@@ -95,6 +72,7 @@ def clip_labeled(
             out.append(poly[i])
             lout.append(labels[i])
             if fj > band:
+                # clamp against band-induced extrapolation on near-parallel edges
                 t = min(max(fi / (fi - fj), 0.0), 1.0)
                 pi = poly[i]
                 pj = poly[j]
@@ -107,35 +85,10 @@ def clip_labeled(
             pj = poly[j]
             out.append((pi[0] + t * (pj[0] - pi[0]), pi[1] + t * (pj[1] - pi[1])))
             lout.append(labels[i])
-    return _merged_labeled(out, lout, merge_tol)
+    return _merged(out, lout, merge_tol)
 
 
-def _merged(poly: Polygon, merge_tol: float) -> Polygon:
-    if len(poly) < 3:
-        return []
-    if merge_tol <= 0.0:
-        return poly
-    t2 = merge_tol * merge_tol
-    out: Polygon = []
-    for p in poly:
-        if out:
-            q = out[-1]
-            dx = p[0] - q[0]
-            dy = p[1] - q[1]
-            if dx * dx + dy * dy < t2:
-                continue
-        out.append(p)
-    if len(out) >= 2:
-        p = out[0]
-        q = out[-1]
-        dx = p[0] - q[0]
-        dy = p[1] - q[1]
-        if dx * dx + dy * dy < t2:
-            out.pop()
-    return out if len(out) >= 3 else []
-
-
-def _merged_labeled(
+def _merged(
     poly: Polygon, labels: list[int], merge_tol: float
 ) -> tuple[Polygon, list[int]]:
     if len(poly) < 3:

@@ -345,9 +345,11 @@ def assign(
     tree = cKDTree(np.column_stack([pos, np.sqrt(top - psi)]))
     corners = np.vstack([pts.min(axis=0), pts.max(axis=0), pos.min(axis=0), pos.max(axis=0)])
     diag2 = float((np.ptp(corners, axis=0) ** 2).sum())
-    # far above the rounding of either distance; max |psi| bounds the spread
-    # of psi and covers the rounding of power distances under a large gauge
-    margin = 1e-9 * (float(np.abs(psi).max()) + diag2 + 1.0)
+    # far above the rounding of either distance at the scale of the spread of
+    # psi, plus a few ulps of max |psi| for the rounding of |x - y|^2 - psi
+    # and of best + max psi under a large gauge offset
+    eps = np.finfo(float).eps
+    margin = 1e-9 * (float(np.ptp(psi)) + diag2 + 1.0) + 16 * eps * float(np.abs(psi).max())
     for lo in range(0, len(pts), chunk):
         block = pts[lo : lo + chunk]
         m = len(block)

@@ -13,6 +13,8 @@ connected).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 from dataclasses import dataclass, field
 from scipy.sparse.linalg import splu
@@ -106,10 +108,7 @@ def solve_gauge_fixed(h: dual.SparseHessian, g: np.ndarray, linear_tol: float = 
             break
         x = x + lu.solve(r)
     else:
-        rel = float(np.linalg.norm(b - a @ x)) / bnorm
-        raise LinearSolveError(
-            f"inner solve stalled at relative residual {rel:.3e} (target {linear_tol:.1e})"
-        )
+        raise LinearSolveError(float(np.linalg.norm(b - a @ x)) / bnorm, linear_tol)
     d[:pin] = x
     return d
 
@@ -141,26 +140,21 @@ def newton(mesh: Mesh, sites: SiteSet, opts: SolverOptions | None = None) -> Sol
         h = dual.hessian(diagram, sites)
         d = solve_gauge_fixed(h, g, opts.linear_tol)
 
-        tau = 1.0
-        accepted = None
+        tau = 2.0
         for _ in range(opts.max_halvings):
+            tau *= 0.5
             psi_try = psi + tau * d
             diagram_try = laguerre.build(mesh, sites, psi_try)
             g_try = nu - diagram_try.masses
             gnorm_try = float(np.abs(g_try).max())
             min_mass = float(diagram_try.masses.min())
             if min_mass >= eps0 and gnorm_try <= (1.0 - 0.5 * tau) * gnorm:
-                accepted = (psi_try, diagram_try, g_try, gnorm_try, min_mass)
                 break
-            tau *= 0.5
-        if accepted is None:
-            raise LineSearchError(
-                f"no acceptable step after {opts.max_halvings} halvings "
-                f"at iteration {iterations + 1} (|g| = {gnorm:.3e})"
-            )
+        else:
+            raise LineSearchError(opts.max_halvings, iterations + 1, gnorm, tau, min_mass, eps0)
 
-        psi, diagram, g, gnorm, min_mass = accepted
-        psi = psi - psi[-1]  # keep the pinned gauge exact (d[-1] is 0)
+        diagram, g, gnorm = diagram_try, g_try, gnorm_try
+        psi = psi_try - psi_try[-1]  # keep the pinned gauge exact (d[-1] is 0)
         iterations += 1
         trace.append(
             TraceRow(
@@ -176,7 +170,8 @@ def newton(mesh: Mesh, sites: SiteSet, opts: SolverOptions | None = None) -> Sol
         if opts.verbose:
             print(
                 f"iter {iterations:3d}  |g| = {gnorm:.3e}  tau = {tau:g}  "
-                f"min mass = {min_mass:.3e}"
+                f"min mass = {min_mass:.3e}",
+                file=sys.stderr,
             )
 
     return SolveReport(

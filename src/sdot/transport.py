@@ -1,4 +1,4 @@
-"""Post-solve products: Wasserstein-2 distance, cell summaries, interpolation.
+"""Post-solve products: Wasserstein-2 distance, cell barycenters, interpolation.
 
 At optimal weights the diagram realizes the optimal transport map (each
 point of a cell travels to that cell's site), so the squared distance is
@@ -17,13 +17,6 @@ from . import domain, dual, laguerre
 from .domain import Mesh, SiteSet
 from .errors import ValidationError
 from .geom import integrate_deg3
-
-
-@dataclass(frozen=True)
-class TransportSummary:
-    w2: float
-    cell_barycenters: np.ndarray
-    cell_masses: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,14 +49,6 @@ def barycenters(diagram: laguerre.LaguerreDiagram) -> np.ndarray:
             "zero-mass cell(s) " + ", ".join(map(str, empty.tolist()))
         )
     return moments / diagram.masses[:, None]
-
-
-def summary(diagram: laguerre.LaguerreDiagram, sites: SiteSet) -> TransportSummary:
-    return TransportSummary(
-        w2=wasserstein2(diagram, sites),
-        cell_barycenters=barycenters(diagram),
-        cell_masses=diagram.masses.copy(),
-    )
 
 
 def interpolate(

@@ -88,6 +88,14 @@ class TestSolve:
                          "--out", str(tmp_path / "r.json"), "--svg", str(svg)]) == 0
         assert svg.read_text().startswith("<?xml")
 
+    def test_verbose_lines_go_to_stderr(self, square_files, tmp_path, capsys):
+        mesh_path, sites_path = square_files
+        assert cli.main(["solve", "--mesh", str(mesh_path), "--sites", str(sites_path),
+                         "--out", str(tmp_path / "r.json"), "--verbose"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("iter   1  |g| = ")
+
     def test_non_convergence_exit_code(self, square_files, tmp_path, capsys):
         mesh_path, sites_path = square_files
         out = tmp_path / "r.json"

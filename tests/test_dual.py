@@ -87,6 +87,30 @@ class TestHessian:
         off = dense[~np.eye(20, dtype=bool)]
         assert (off >= 0).all()
 
+    def test_matches_pair_by_pair_assembly(self):
+        # reference: one pass over the sorted pairs, adding to i then to j
+        mesh, sites = random_problem(20, seed=23, resolution=2, density="linear-x")
+        diag, _ = build_at(mesh, sites, np.random.default_rng(24).uniform(-0.02, 0.02, 20))
+        h = dual.hessian(diag, sites)
+        ref = np.zeros((20, 20))
+        off = np.zeros(20)
+        for i, j in sorted(diag.interfaces):
+            w = laguerre.interface_weight(diag, i, j)
+            ref[i, j] = ref[j, i] = w
+            off[i] += w
+            off[j] += w
+        ref[np.diag_indices(20)] = -off
+        assert np.array_equal(h.diag, -off)
+        assert np.array_equal(h.as_dense(), ref)
+        assert len(h.pairs) == len(diag.interfaces)
+
+    @pytest.mark.parametrize("pin", [0, 7, 14])
+    def test_neg_reduced_deletes_the_pinned_row_and_column(self, pin):
+        mesh, sites = random_problem(15, seed=8)
+        h = dual.hessian(laguerre.build(mesh, sites, np.zeros(15)), sites)
+        expected = np.delete(np.delete(-h.as_dense(), pin, axis=0), pin, axis=1)
+        assert np.array_equal(h.neg_reduced(pin).toarray(), expected)
+
     def test_negative_semidefinite(self):
         mesh, sites = random_problem(12, seed=29)
         diag, _ = build_at(mesh, sites, np.zeros(12))

@@ -263,6 +263,23 @@ class TestAssign:
             got = laguerre.assign(pts, sites, psi)
             assert np.array_equal(got, dense_argmin(pts, sites.positions, psi))
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9, -1e9, 1e12])
+    def test_matches_dense_under_gauge_offset(self, offset):
+        # the near ties above, shifted by a constant: at large offsets the
+        # rounding of |x - y|^2 - psi decides the dense argmin, and with only
+        # 6 sites the lowest index is often outside the 4 lifted candidates
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            c = rng.random(2)
+            angle = rng.uniform(0, 2 * np.pi, 6)
+            radius = rng.uniform(0.05, 0.4, 6)
+            pos = c + radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+            sites = domain.make_sites(pos, np.full(6, 1 / 6), 1.0)
+            psi = ((c - pos) ** 2).sum(axis=1) + offset
+            pts = np.vstack([c, rng.random((500, 2))])
+            got = laguerre.assign(pts, sites, psi)
+            assert np.array_equal(got, dense_argmin(pts, sites.positions, psi))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fewer_sites_than_candidates(self, n):
         rng = np.random.default_rng(n)

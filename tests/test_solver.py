@@ -5,6 +5,8 @@ from sdot import domain, dual, laguerre, solver
 from sdot.errors import (
     DisconnectedAdjacencyError,
     InitializationError,
+    LinearSolveError,
+    LineSearchError,
     ValidationError,
 )
 
@@ -24,17 +26,17 @@ def validate_trace(report):
 
 class TestSolveGaugeFixed:
     def test_two_site_direction(self):
-        h = dual.SparseHessian(2, {(0, 1): 1.0}, np.array([-1.0, -1.0]))
+        h = dual.SparseHessian(2, np.array([[0, 1]]), np.array([1.0]), np.array([-1.0, -1.0]))
         d = solver.solve_gauge_fixed(h, np.array([0.25, -0.25]))
         assert d == pytest.approx([0.25, 0.0], abs=1e-14)
 
     def test_zero_gradient(self):
-        h = dual.SparseHessian(2, {(0, 1): 1.0}, np.array([-1.0, -1.0]))
+        h = dual.SparseHessian(2, np.array([[0, 1]]), np.array([1.0]), np.array([-1.0, -1.0]))
         assert solver.solve_gauge_fixed(h, np.zeros(2)) == pytest.approx([0.0, 0.0])
 
     def test_three_site_chain(self):
         h = dual.SparseHessian(
-            3, {(0, 1): 1.0, (1, 2): 1.0}, np.array([-1.0, -2.0, -1.0])
+            3, np.array([[0, 1], [1, 2]]), np.array([1.0, 1.0]), np.array([-1.0, -2.0, -1.0])
         )
         g = np.array([1.0, 0.0, -1.0])
         d = solver.solve_gauge_fixed(h, g)
@@ -43,11 +45,11 @@ class TestSolveGaugeFixed:
         assert (neg_h @ d)[:2] == pytest.approx(g[:2], abs=1e-12)
 
     def test_single_site(self):
-        h = dual.SparseHessian(1, {}, np.zeros(1))
+        h = dual.SparseHessian(1, np.zeros((0, 2), int), np.zeros(0), np.zeros(1))
         assert solver.solve_gauge_fixed(h, np.zeros(1)) == pytest.approx([0.0])
 
     def test_disconnected_graph_is_reported(self):
-        h = dual.SparseHessian(3, {(0, 1): 1.0}, np.array([-1.0, -1.0, 0.0]))
+        h = dual.SparseHessian(3, np.array([[0, 1]]), np.array([1.0]), np.array([-1.0, -1.0, 0.0]))
         with pytest.raises(DisconnectedAdjacencyError) as exc:
             solver.solve_gauge_fixed(h, np.array([0.1, -0.1, 0.0]))
         assert exc.value.components == [[0, 1], [2]]
@@ -137,6 +139,35 @@ class TestNewton:
         voronoi = laguerre.build(mesh, sites, np.zeros(6)).masses
         expected = 0.5 * min(sites.masses.min(), voronoi.min())
         assert report.eps0 == pytest.approx(expected, rel=1e-12)
+
+
+class TestErrorState:
+    def test_linear_solve_error_carries_residual(self):
+        mesh, sites = random_problem(30, seed=10)
+        with pytest.raises(LinearSolveError) as exc:
+            solver.newton(mesh, sites, solver.SolverOptions(linear_tol=1e-300))
+        assert np.isfinite(exc.value.residual) and exc.value.residual > 1e-300
+        assert exc.value.target == 1e-300
+        assert f"{exc.value.residual:.3e}" in str(exc.value)
+
+    def test_line_search_error_carries_state(self):
+        # the first full step on this instance is rejected (tau = 1/2 accepted)
+        mesh, sites = random_problem(17, seed=2)
+        full = solver.newton(mesh, sites)
+        assert full.trace[0].tau == 0.5
+        diag = laguerre.build(mesh, sites, np.zeros(17))
+        g = dual.gradient(diag, sites)
+        d = solver.solve_gauge_fixed(dual.hessian(diag, sites), g)
+        with pytest.raises(LineSearchError) as exc:
+            solver.newton(mesh, sites, solver.SolverOptions(max_halvings=1))
+        err = exc.value
+        assert (err.iteration, err.tau) == (1, 1.0)
+        assert err.grad_norm == full.grad_norm0
+        assert err.eps0 == full.eps0
+        assert err.min_mass == laguerre.build(mesh, sites, d).masses.min()
+        assert str(err) == (
+            f"no acceptable step after 1 halvings at iteration 1 (|g| = {err.grad_norm:.3e})"
+        )
 
 
 class TestOptions:

@@ -99,13 +99,6 @@ class TestBarycenters:
         with pytest.raises(ValidationError, match=r"zero-mass cell\(s\) 0"):
             transport.barycenters(diag)
 
-    def test_summary_fields(self, unit_square):
-        sites = domain.make_sites([[0.5, 0.5]], [1.0], 1.0)
-        diag = laguerre.build(unit_square, sites, [0.0])
-        s = transport.summary(diag, sites)
-        assert s.w2 == pytest.approx(math.sqrt(1 / 6), abs=1e-12)
-        assert s.cell_masses == pytest.approx([1.0])
-
 
 class TestInterpolate:
     def test_endpoint_frames(self, analytic_two_site):
