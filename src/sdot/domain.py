@@ -294,11 +294,11 @@ def load_sites(path, mesh_mass: float, normalize: bool = False) -> SiteSet:
 
 
 def save_sites(sites: SiteSet, path) -> None:
+    """Write sites as ``x,y,nu`` CSV with full-precision reals, atomically."""
     lines = ["x,y,nu"]
     for (x, y), nu in zip(sites.positions, sites.masses):
         lines.append(f"{x:.17g},{y:.17g},{nu:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def sample(mesh: Mesh, n: int, seed: int) -> np.ndarray:

@@ -22,8 +22,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .domain import SiteSet
-from .geom import integrate_quadratic
-from .laguerre import LaguerreDiagram, interface_weight
+from .laguerre import LaguerreDiagram
 
 
 def value(diagram: LaguerreDiagram, sites: SiteSet, psi) -> float:
@@ -34,11 +33,14 @@ def value(diagram: LaguerreDiagram, sites: SiteSet, psi) -> float:
 
 def transport_cost(diagram: LaguerreDiagram, sites: SiteSet) -> float:
     """Quadratic cost ``sum_j int_{Lag_j} |x - y_j|^2 dmu`` of the diagram."""
-    pos = [tuple(p) for p in sites.positions.tolist()]
-    total = 0.0
-    for frag in diagram.fragments:
-        total += integrate_quadratic(frag.polygon, pos[frag.site], *frag.density)
-    return total
+    sx, sy = sites.positions.T
+
+    def sq_dist(x, y, site):
+        dx = x - sx[site]
+        dy = y - sy[site]
+        return dx * dx + dy * dy
+
+    return float(diagram.cell_integrals(sq_dist).sum())
 
 
 def gradient(diagram: LaguerreDiagram, sites: SiteSet) -> np.ndarray:
@@ -99,7 +101,5 @@ def _off_sums(n: int, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def hessian(diagram: LaguerreDiagram, sites: SiteSet) -> SparseHessian:
     """Assemble the interface-supported Hessian from the diagram."""
     n = len(sites)
-    keys = sorted(diagram.interfaces)
-    pairs = np.array(keys, dtype=np.intp).reshape(-1, 2)
-    weights = np.array([interface_weight(diagram, i, j) for i, j in keys])
+    pairs, weights = diagram.interface_weights
     return SparseHessian(n, pairs, weights, -_off_sums(n, pairs, weights))

@@ -60,20 +60,21 @@ class LinearSolveError(SolverError):
 
 
 class LineSearchError(SolverError):
-    """No damped step satisfied the acceptance rule within the halving cap.
+    """No damped step satisfied the acceptance rule within the trial cap.
 
-    Carries the Newton iteration, the gradient sup-norm before the step, the
-    last step length tried, the smallest cell mass at that step and the
-    mass floor ``eps0``.
+    Carries the number of trial steps (tau = 1, 1/2, ...), the Newton
+    iteration, the gradient sup-norm before the step, the last step length
+    tried, the smallest cell mass at that step and the mass floor ``eps0``.
     """
 
-    def __init__(self, halvings, iteration, grad_norm, tau, min_mass, eps0):
+    def __init__(self, trials, iteration, grad_norm, tau, min_mass, eps0):
+        self.trials = trials
         self.iteration = iteration
         self.grad_norm = grad_norm
         self.tau = tau
         self.min_mass = min_mass
         self.eps0 = eps0
         super().__init__(
-            f"no acceptable step after {halvings} halvings "
+            f"no acceptable step in {trials} trial step(s), the last at tau = {tau:g}, "
             f"at iteration {iteration} (|g| = {grad_norm:.3e})"
         )

@@ -9,15 +9,19 @@ pass ``merge_tol``, an absolute length below which consecutive vertices are
 considered coincident; it should be scaled from the domain bounding-box
 diameter (``MERGE_REL * diameter`` is the convention used elsewhere).
 
-Integration routines are exact (up to roundoff) for their stated integrand
-degree: trapezoid on segments for affine integrands, fan triangulation with
-the vertex-mean rule for affine integrands on polygons, and a 4-point
-degree-3 triangle rule for the quadratic-cost integrals.
+Integrals over a polygon are sums over its edges: each edge ``p -> q``
+contributes the signed integral over the triangle from a fixed origin to
+``p`` and ``q``, so a whole diagram of polygons, stored as flat vertex
+arrays, is integrated by one vectorised call of :func:`fan_integrals`
+(the moment calculus of Steger 1996, *On the calculation of arbitrary
+moments of polygons*, with a quadrature in place of closed-form moments).
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 Point = tuple[float, float]
 HalfPlane = tuple[float, float, float]
@@ -135,116 +139,25 @@ def area(poly: Polygon) -> float:
     return 0.5 * s
 
 
-def integrate_affine(poly: Polygon, gx: float, gy: float, g0: float) -> float:
-    """Integral of ``gx*x + gy*y + g0`` over the polygon.
+def fan_integrals(o: np.ndarray, p: np.ndarray, q: np.ndarray, f) -> np.ndarray:
+    """Integral of ``f`` over each triangle ``(o[e], p[e], q[e])``, signed.
 
-    Fan triangulation from vertex 0; each triangle contributes its area
-    times the mean of the three vertex values, which is exact for affine
-    integrands.
+    ``o``, ``p`` and ``q`` are ``(E, 2)`` vertex arrays and ``f(x, y)`` maps
+    coordinate arrays of shape ``(E,)`` to values of the same shape.  The
+    4-point degree-3 rule makes each integral exact up to roundoff for
+    polynomials of total degree <= 3.  The sign is that of the orientation, so summing the
+    triangles from any origin to the edges of a CCW polygon gives the
+    polygon's integral, and a triangle of zero area contributes zero.
     """
-    n = len(poly)
-    if n < 3:
-        return 0.0
-    x0, y0 = poly[0]
-    f0 = gx * x0 + gy * y0 + g0
-    total = 0.0
-    x1, y1 = poly[1]
-    f1 = gx * x1 + gy * y1 + g0
-    for i in range(2, n):
-        x2, y2 = poly[i]
-        f2 = gx * x2 + gy * y2 + g0
-        tri_area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
-        total += tri_area * (f0 + f1 + f2) / 3.0
-        x1, y1, f1 = x2, y2, f2
-    return total
-
-
-def integrate_affine_segment(
-    p: Point, q: Point, gx: float, gy: float, g0: float
-) -> float:
-    """Line integral of an affine function along segment ``p -> q``.
-
-    Trapezoid rule, exact for affine integrands; zero for a degenerate
-    segment.
-    """
-    length = math.hypot(q[0] - p[0], q[1] - p[1])
-    if length == 0.0:
-        return 0.0
-    fp = gx * p[0] + gy * p[1] + g0
-    fq = gx * q[0] + gy * q[1] + g0
-    return length * 0.5 * (fp + fq)
-
-
-def integrate_quadratic(
-    poly: Polygon, center: Point, gx: float, gy: float, g0: float
-) -> float:
-    """Integral of ``|x - center|^2 * (gx*x + gy*y + g0)`` over the polygon.
-
-    The integrand has total degree 3, so the 4-point degree-3 triangle rule
-    applied to a fan triangulation is exact up to roundoff.
-    """
-    n = len(poly)
-    if n < 3:
-        return 0.0
-    cx, cy = center
-    x0, y0 = poly[0]
-    total = 0.0
-    x1, y1 = poly[1]
-    for i in range(2, n):
-        x2, y2 = poly[i]
-        tri_area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
-        if tri_area != 0.0:
-            gxc = (x0 + x1 + x2) / 3.0
-            gyc = (y0 + y1 + y2) / 3.0
-            acc = _W0 * _quad_point(gxc, gyc, cx, cy, gx, gy, g0)
-            acc += _W1 * _quad_point(
-                0.6 * x0 + 0.2 * x1 + 0.2 * x2, 0.6 * y0 + 0.2 * y1 + 0.2 * y2,
-                cx, cy, gx, gy, g0,
-            )
-            acc += _W1 * _quad_point(
-                0.2 * x0 + 0.6 * x1 + 0.2 * x2, 0.2 * y0 + 0.6 * y1 + 0.2 * y2,
-                cx, cy, gx, gy, g0,
-            )
-            acc += _W1 * _quad_point(
-                0.2 * x0 + 0.2 * x1 + 0.6 * x2, 0.2 * y0 + 0.2 * y1 + 0.6 * y2,
-                cx, cy, gx, gy, g0,
-            )
-            total += tri_area * acc
-        x1, y1 = x2, y2
-    return total
-
-
-def _quad_point(
-    px: float, py: float, cx: float, cy: float, gx: float, gy: float, g0: float
-) -> float:
-    dx = px - cx
-    dy = py - cy
-    return (dx * dx + dy * dy) * (gx * px + gy * py + g0)
-
-
-def integrate_deg3(poly: Polygon, f) -> float:
-    """Integral of a callable ``f(x, y)`` over the polygon.
-
-    Exact for polynomial integrands of total degree <= 3 (same rule as
-    :func:`integrate_quadratic`); used for cell moments.
-    """
-    n = len(poly)
-    if n < 3:
-        return 0.0
-    x0, y0 = poly[0]
-    total = 0.0
-    x1, y1 = poly[1]
-    for i in range(2, n):
-        x2, y2 = poly[i]
-        tri_area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
-        if tri_area != 0.0:
-            acc = _W0 * f((x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0)
-            acc += _W1 * f(0.6 * x0 + 0.2 * x1 + 0.2 * x2, 0.6 * y0 + 0.2 * y1 + 0.2 * y2)
-            acc += _W1 * f(0.2 * x0 + 0.6 * x1 + 0.2 * x2, 0.2 * y0 + 0.6 * y1 + 0.2 * y2)
-            acc += _W1 * f(0.2 * x0 + 0.2 * x1 + 0.6 * x2, 0.2 * y0 + 0.2 * y1 + 0.6 * y2)
-            total += tri_area * acc
-        x1, y1 = x2, y2
-    return total
+    ox, oy = o.T
+    px, py = p.T
+    qx, qy = q.T
+    tri_area = 0.5 * ((px - ox) * (qy - oy) - (py - oy) * (qx - ox))
+    acc = _W0 * f((ox + px + qx) / 3.0, (oy + py + qy) / 3.0)
+    acc = acc + _W1 * f(0.6 * ox + 0.2 * px + 0.2 * qx, 0.6 * oy + 0.2 * py + 0.2 * qy)
+    acc = acc + _W1 * f(0.2 * ox + 0.6 * px + 0.2 * qx, 0.2 * oy + 0.6 * py + 0.2 * qy)
+    acc = acc + _W1 * f(0.2 * ox + 0.2 * px + 0.6 * qx, 0.2 * oy + 0.2 * py + 0.6 * qy)
+    return tri_area * acc
 
 
 def polygon_contains(poly: Polygon, p: Point, tol: float = 0.0) -> bool:

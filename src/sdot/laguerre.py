@@ -21,12 +21,21 @@ Edges created by a bisector cut keep the competitor's index as a label,
 which is how interface segments (the support of the dual Hessian) are
 collected without any geometric search.  Each interface is recorded from
 the lower-indexed side only.
+
+The diagram is stored as flat edge arrays: every kept fragment appends its
+vertices (CCW) and the labels of the edges leaving them, so an edge is a
+row pointing at the row of its end vertex.  Cell integrals (masses,
+transport cost, moments) are one :func:`geom.fan_integrals` call over all
+edges, each edge's triangle spanned from its fragment's first vertex, and
+one ``bincount`` by site; interface weights are one ``bincount`` over the
+edges whose label is a higher-indexed site.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -40,8 +49,7 @@ from .geom import (
     Polygon,
     area,
     clip_labeled,
-    integrate_affine,
-    integrate_affine_segment,
+    fan_integrals,
 )
 
 # fragments smaller than this fraction of the bbox area are dropped
@@ -63,16 +71,99 @@ class CellFragment:
 
 @dataclass(frozen=True)
 class LaguerreDiagram:
+    """Laguerre cells restricted to the mesh, as flat edge arrays.
+
+    Fragment ``f``, the part of cell ``frag_site[f]`` in triangle
+    ``frag_tri[f]``, owns a run of consecutive rows.  Row ``e`` of the
+    ``(E, 2)`` array ``xy`` starts edge ``e`` of fragment ``frag[e]``, which
+    ends at row ``nxt[e]`` and has the site ``label[e]`` (or ``BOUNDARY``)
+    across it.  ``masses`` is computed on construction; ``fragments``,
+    ``interfaces`` and ``interface_weights`` are computed on first use.
+    """
+
     mesh: Mesh
     sites: SiteSet
     psi: np.ndarray
-    fragments: list[CellFragment]
-    interfaces: dict[tuple[int, int], list[Segment]] = field(repr=False)
-    masses: np.ndarray = field(repr=False)
+    xy: np.ndarray = field(repr=False)
+    nxt: np.ndarray = field(repr=False)
+    label: np.ndarray = field(repr=False)
+    frag: np.ndarray = field(repr=False)
+    frag_site: np.ndarray = field(repr=False)
+    frag_tri: np.ndarray = field(repr=False)
+    masses: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def site_count(self) -> int:
-        return len(self.sites)
+    def __post_init__(self):
+        masses = self.cell_integrals(lambda x, y, site: 1.0)
+        masses.setflags(write=False)
+        object.__setattr__(self, "masses", masses)
+
+    def _bounds(self) -> np.ndarray:
+        """First row of each fragment, then ``E``."""
+        return np.searchsorted(self.frag, np.arange(len(self.frag_site) + 1))
+
+    def cell_integrals(self, f) -> np.ndarray:
+        """Integral of ``f(x, y, site) * rho(x, y)`` over each cell, shape (n,).
+
+        ``f`` gets coordinate arrays and the site whose cell each point's
+        triangle belongs to; it is exact for ``f`` of degree <= 2 in x, y.
+        """
+        site = self.frag_site[self.frag]
+        gx, gy, g0 = self.mesh.tri_density[self.frag_tri[self.frag]].T
+        o = self.xy[self._bounds()[self.frag]]  # each fragment's first vertex
+        vals = fan_integrals(
+            o, self.xy, self.xy[self.nxt], lambda x, y: f(x, y, site) * (gx * x + gy * y + g0)
+        )
+        return np.bincount(site, vals, minlength=len(self.sites))
+
+    def _interface_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows of the edges recorded as interfaces, their sites and labels."""
+        site = self.frag_site[self.frag]
+        e = np.flatnonzero(self.label > site)  # the lower-indexed side's edges
+        return e, site[e], self.label[e]
+
+    @cached_property
+    def interface_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted ``(m, 2)`` adjacent pairs ``i < j`` and their Hessian weights.
+
+        A weight is the density line integral over the interface (trapezoid
+        rule, exact for the affine density) over ``2 |y_i - y_j|``.
+        """
+        n = len(self.sites)
+        e, j, k = self._interface_edges()
+        keys, pair_of = np.unique(j * n + k, return_inverse=True)
+        p = self.xy[e]
+        q = self.xy[self.nxt[e]]
+        gx, gy, g0 = self.mesh.tri_density[self.frag_tri[self.frag[e]]].T
+        fp = gx * p[:, 0] + gy * p[:, 1] + g0
+        fq = gx * q[:, 0] + gy * q[:, 1] + g0
+        seg = np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]) * 0.5 * (fp + fq)
+        pairs = np.column_stack([keys // n, keys % n])
+        d = self.sites.positions[pairs[:, 1]] - self.sites.positions[pairs[:, 0]]
+        weights = np.bincount(pair_of, seg, minlength=len(keys))
+        return pairs, weights / (2.0 * np.hypot(d[:, 0], d[:, 1]))
+
+    @cached_property
+    def fragments(self) -> list[CellFragment]:
+        """The fragments as ``CellFragment`` objects, in build order."""
+        pts = [tuple(p) for p in self.xy.tolist()]
+        rho = [tuple(r) for r in self.mesh.tri_density.tolist()]
+        b = self._bounds().tolist()
+        return [
+            CellFragment(j, t, pts[b[f] : b[f + 1]], rho[t])
+            for f, (j, t) in enumerate(zip(self.frag_site.tolist(), self.frag_tri.tolist()))
+        ]
+
+    @cached_property
+    def interfaces(self) -> dict[tuple[int, int], list[Segment]]:
+        """Segments ``(p, q, density)`` of each adjacent pair ``(i, j)``, ``i < j``."""
+        pts = [tuple(p) for p in self.xy.tolist()]
+        rho = [tuple(r) for r in self.mesh.tri_density.tolist()]
+        e, j, k = self._interface_edges()
+        t = self.frag_tri[self.frag[e]]
+        out: dict[tuple[int, int], list[Segment]] = {}
+        for a, b, lo, hi, tri in zip(*(v.tolist() for v in (e, self.nxt[e], j, k, t))):
+            out.setdefault((lo, hi), []).append((pts[a], pts[b], rho[tri]))
+        return out
 
 
 def bisector(y_i: Point, psi_i: float, y_j: Point, psi_j: float) -> HalfPlane:
@@ -120,11 +211,10 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
     pos = [tuple(p) for p in sites.positions.tolist()]
     psi_l = psi.tolist()
     tri_pts = mesh.vertices[mesh.triangles].tolist()
-    tri_rho = [tuple(r) for r in mesh.tri_density.tolist()]
 
-    fragments: list[CellFragment] = []
-    interfaces: dict[tuple[int, int], list[Segment]] = {}
-    masses = np.zeros(n)
+    verts: list[Point] = []  # the fragments' vertices, one fragment after another
+    edge_labels: list[int] = []
+    frags: list[tuple[int, int, int]] = []  # (site, triangle, vertex count)
 
     for j in range(n):
         if neighbors[j] is None:  # hidden above the lower hull: empty cell
@@ -162,21 +252,18 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
                 if cuts is None:
                     cuts = _cuts(pos[j], psi_l[j], psi_l, pos, applied, merge_tol)
                 lab = _relabel_boundary_edges(poly, lab, cuts)
+            verts.extend(poly)
+            edge_labels.extend(lab)
+            frags.append((j, t, len(poly)))
 
-            density = tri_rho[t]
-            fragments.append(CellFragment(j, t, poly, density))
-            masses[j] += integrate_affine(poly, *density)
-
-            m = len(poly)
-            for e in range(m):
-                k = lab[e]
-                if k > j:  # lower-indexed site owns the interface record
-                    seg = (poly[e], poly[(e + 1) % m], density)
-                    interfaces.setdefault((j, k), []).append(seg)
-
-    diagram = LaguerreDiagram(mesh, sites, psi, fragments, interfaces, masses)
-    diagram.masses.setflags(write=False)
-    return diagram
+    frag_site, frag_tri, size = np.array(frags, dtype=np.intp).reshape(-1, 3).T
+    frag = np.repeat(np.arange(len(size)), size)
+    nxt = np.arange(1, len(frag) + 1)
+    nxt[np.cumsum(size) - 1] -= size  # the last edge closes its fragment
+    xy = np.array(verts, dtype=float).reshape(-1, 2)
+    label = np.array(edge_labels, dtype=np.intp)
+    del verts, edge_labels, frags  # free the vertex tuples before the integrals
+    return LaguerreDiagram(mesh, sites, psi, xy, nxt, label, frag, frag_site, frag_tri)
 
 
 def _power_neighbors(positions: np.ndarray, psi: np.ndarray) -> list[list[int] | None]:
@@ -296,20 +383,14 @@ def interface_weight(diagram: LaguerreDiagram, i: int, j: int) -> float:
     """Density line integral over the (i, j) interface, over ``2 |y_i - y_j|``.
 
     Zero when the cells are not adjacent.  This is the magnitude of the
-    off-diagonal dual Hessian entry.
+    off-diagonal dual Hessian entry, looked up in
+    ``diagram.interface_weights``.
     """
     if i == j:
         raise ValidationError("interface requires two distinct sites")
-    pair = (min(i, j), max(i, j))
-    segments = diagram.interfaces.get(pair)
-    if not segments:
-        return 0.0
-    total = 0.0
-    for p, q, (gx, gy, g0) in segments:
-        total += integrate_affine_segment(p, q, gx, gy, g0)
-    yi = diagram.sites.positions[pair[0]]
-    yj = diagram.sites.positions[pair[1]]
-    return total / (2.0 * math.hypot(yj[0] - yi[0], yj[1] - yi[1]))
+    pairs, weights = diagram.interface_weights
+    hit = weights[(pairs == (min(i, j), max(i, j))).all(axis=1)]
+    return float(hit[0]) if hit.size else 0.0
 
 
 def assign(

@@ -16,7 +16,6 @@ import numpy as np
 from . import domain, dual, laguerre
 from .domain import Mesh, SiteSet
 from .errors import ValidationError
-from .geom import integrate_deg3
 
 
 @dataclass(frozen=True)
@@ -33,16 +32,10 @@ def wasserstein2(diagram: laguerre.LaguerreDiagram, sites: SiteSet) -> float:
 
 def barycenters(diagram: laguerre.LaguerreDiagram) -> np.ndarray:
     """Density-weighted centroid of each cell; requires positive masses."""
-    n = diagram.site_count
-    moments = np.zeros((n, 2))
-    for frag in diagram.fragments:
-        gx, gy, g0 = frag.density
-        moments[frag.site, 0] += integrate_deg3(
-            frag.polygon, lambda x, y: x * (gx * x + gy * y + g0)
-        )
-        moments[frag.site, 1] += integrate_deg3(
-            frag.polygon, lambda x, y: y * (gx * x + gy * y + g0)
-        )
+    moments = np.column_stack([
+        diagram.cell_integrals(lambda x, y, site: x),
+        diagram.cell_integrals(lambda x, y, site: y),
+    ])
     empty = np.nonzero(diagram.masses <= 0.0)[0]
     if empty.size:
         raise ValidationError(

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from sdot.geom import clip, integrate_affine
+from sdot.geom import clip
 
 # desk scale: up to a 64x64 source discretization against up to 64 targets
 MAX_SOURCES = 64 * 64
@@ -86,6 +86,23 @@ def solve_discrete_lp(problem: DiscreteProblem):
     return float(res.fun), plan
 
 
+def _affine_integral(poly, gx, gy, g0):
+    """Integral of ``gx*x + gy*y + g0`` over a convex CCW polygon.
+
+    Fan triangulation from vertex 0, each triangle's area times the mean of
+    its three vertex values: exact for affine integrands, and independent of
+    the quadrature the diagram pipeline uses.
+    """
+    x0, y0 = poly[0]
+    f = [gx * x + gy * y + g0 for x, y in poly]
+    total = 0.0
+    for i in range(1, len(poly) - 1):
+        (x1, y1), (x2, y2) = poly[i], poly[i + 1]
+        tri_area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+        total += tri_area * (f[0] + f[i] + f[i + 1]) / 3.0
+    return total
+
+
 def grid_discretization(mesh, k: int):
     """k-by-k cell-center discretization of the mesh density, exact masses.
 
@@ -113,7 +130,7 @@ def grid_discretization(mesh, k: int):
                 poly = clip(poly, (0.0, 1.0, hi_y))
                 poly = clip(poly, (0.0, -1.0, -lo_y))
                 if poly:
-                    cell_mass += integrate_affine(poly, gx, gy, g0)
+                    cell_mass += _affine_integral(poly, gx, gy, g0)
             if cell_mass > 0.0:
                 positions.append(((lo_x + hi_x) / 2, (lo_y + hi_y) / 2))
                 masses.append(cell_mass)

@@ -138,6 +138,22 @@ class TestSites:
         again = domain.load_sites(out, 1.0)
         assert np.array_equal(again.positions, sites.positions)
 
+    def test_save_is_atomic(self, tmp_path, monkeypatch):
+        sites = domain.make_sites([[0.25, 0.5], [0.75, 0.5]], [0.75, 0.25], 1.0)
+        out = tmp_path / "s.csv"
+        domain.save_sites(sites, out)
+        assert out.read_bytes() == b"x,y,nu\n0.25,0.5,0.75\n0.75,0.5,0.25\n"
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        # a write that fails before the rename keeps the old file, leaves no temp file
+        monkeypatch.setattr(domain.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            domain.save_sites(domain.make_sites([[0.5, 0.5]], [1.0], 1.0), out)
+        assert out.read_bytes() == b"x,y,nu\n0.25,0.5,0.75\n0.75,0.5,0.25\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
     def test_csv_header_required(self, tmp_path):
         path = write(tmp_path, "s.csv", "a,b,c\n0,0,1\n")
         with pytest.raises(FormatError, match="expected header"):

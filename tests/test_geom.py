@@ -75,33 +75,41 @@ class TestArea:
         assert geom.area(TRI) == 0.5
 
 
+def integral(poly, f, origin=None):
+    """Integral of ``f`` over a CCW polygon: ``fan_integrals`` summed over its edges."""
+    p = np.array(poly, dtype=float)
+    o = np.broadcast_to(p[0] if origin is None else np.asarray(origin, dtype=float), p.shape)
+    return float(geom.fan_integrals(o, p, np.roll(p, -1, axis=0), f).sum())
+
+
+def affine(gx, gy, g0):
+    return lambda x, y: gx * x + gy * y + g0
+
+
+def quadratic_cost(center, gx, gy, g0):
+    cx, cy = center
+    return lambda x, y: ((x - cx) ** 2 + (y - cy) ** 2) * (gx * x + gy * y + g0)
+
+
 class TestIntegrateAffine:
     def test_constant_equals_area(self):
-        assert geom.integrate_affine(UNIT_SQUARE, 0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert integral(UNIT_SQUARE, affine(0.0, 0.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
         rng = np.random.default_rng(3)
         for _ in range(100):
             poly = random_convex_polygon(rng)
-            got = geom.integrate_affine(poly, 0.0, 0.0, 1.0)
+            got = integral(poly, affine(0.0, 0.0, 1.0))
             assert got == pytest.approx(geom.area(poly), rel=1e-14, abs=1e-16)
 
     def test_linear_over_square(self):
-        assert geom.integrate_affine(UNIT_SQUARE, 1.0, 0.0, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert integral(UNIT_SQUARE, affine(1.0, 0.0, 0.0)) == pytest.approx(0.5, abs=1e-15)
 
     def test_linear_over_triangle(self):
-        assert geom.integrate_affine(TRI, 1.0, 0.0, 0.0) == pytest.approx(1 / 6, abs=1e-15)
-
-
-class TestIntegrateSegment:
-    def test_examples(self):
-        a, b = (0.0, 0.0), (0.0, 1.0)
-        assert geom.integrate_affine_segment(a, b, 0.0, 0.0, 1.0) == pytest.approx(1.0)
-        assert geom.integrate_affine_segment(a, b, 0.0, 1.0, 0.0) == pytest.approx(0.5)
-        assert geom.integrate_affine_segment(a, a, 0.0, 1.0, 0.0) == 0.0
+        assert integral(TRI, affine(1.0, 0.0, 0.0)) == pytest.approx(1 / 6, abs=1e-15)
 
 
 class TestIntegrateQuadratic:
     def test_square_center(self):
-        got = geom.integrate_quadratic(UNIT_SQUARE, (0.5, 0.5), 0.0, 0.0, 1.0)
+        got = integral(UNIT_SQUARE, quadratic_cost((0.5, 0.5), 0.0, 0.0, 1.0))
         assert got == pytest.approx(1 / 6, abs=1e-15)
 
     def test_triangle_corner_against_quadrature(self):
@@ -112,11 +120,11 @@ class TestIntegrateQuadratic:
         )
         assert err < 1e-10
         assert oracle == pytest.approx(1 / 6, abs=1e-10)
-        got = geom.integrate_quadratic(TRI, (0.0, 0.0), 0.0, 0.0, 1.0)
+        got = integral(TRI, quadratic_cost((0.0, 0.0), 0.0, 0.0, 1.0))
         assert got == pytest.approx(oracle, abs=1e-12)
 
     def test_zero_density(self):
-        assert geom.integrate_quadratic(UNIT_SQUARE, (0.3, 0.7), 0.0, 0.0, 0.0) == 0.0
+        assert integral(UNIT_SQUARE, quadratic_cost((0.3, 0.7), 0.0, 0.0, 0.0)) == 0.0
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(23)
@@ -125,7 +133,7 @@ class TestIntegrateQuadratic:
             cx, cy = rng.uniform(0, 1, size=2)
             gx, gy = rng.uniform(-0.5, 0.5, size=2)
             g0 = 1.0 + rng.uniform(0, 1)  # keep the density positive on [0,1]^2
-            exact = geom.integrate_quadratic(poly, (cx, cy), gx, gy, g0)
+            exact = integral(poly, quadratic_cost((cx, cy), gx, gy, g0))
 
             n = 200_000
             pts = rng.uniform(0, 1, size=(n, 2))
@@ -148,11 +156,25 @@ class TestDeg3Rule:
             pts = rng.uniform(0, 2, size=(3, 2))
             if _cross2(pts[1] - pts[0], pts[2] - pts[0]) < 0:
                 pts[[1, 2]] = pts[[2, 1]]
-            poly = [tuple(p) for p in pts]
             for p in range(4):
                 for q in range(4 - p):
-                    got = geom.integrate_deg3(poly, lambda x, y: x**p * y**q)
+                    got = integral(pts, lambda x, y: x**p * y**q)
                     oracle = _tri_quad(pts, p, q)
+                    assert got == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+
+    def test_exact_for_cubics_on_polygons_from_any_origin(self):
+        # the edge triangles from an origin outside the polygon have both
+        # signs; their sum is the polygon integral all the same
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            poly = np.array(random_convex_polygon(rng))
+            origin = rng.uniform(-1, 2, size=2)
+            for p in range(4):
+                for q in range(4 - p):
+                    got = integral(poly, lambda x, y: x**p * y**q, origin)
+                    oracle = sum(
+                        _tri_quad(poly[[0, i, i + 1]], p, q) for i in range(1, len(poly) - 1)
+                    )
                     assert got == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 

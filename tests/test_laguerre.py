@@ -114,6 +114,22 @@ class TestInterfaceWeight:
         diag = laguerre.build(mesh, sites, np.zeros(2))
         assert laguerre.interface_weight(diag, 0, 1) == pytest.approx(2.0, rel=1e-12)
 
+    def test_segment_examples(self):
+        # trapezoid rule on the interface: the unit segment x = 0.5 under
+        # density 1, the unit segment y = 0.5 under density x, and the single
+        # point where diagonal cells of a square grid of four sites meet
+        def weights(density, positions, pairs):
+            mesh = domain.square_mesh(1, density)
+            n = len(positions)
+            sites = domain.make_sites(positions, [1.0] * n, mesh.total_mass, normalize=True)
+            diag = laguerre.build(mesh, sites, np.zeros(n))
+            return [laguerre.interface_weight(diag, i, j) for i, j in pairs]
+
+        assert weights("const:1", [[0.25, 0.5], [0.75, 0.5]], [(0, 1)]) == pytest.approx([1.0])
+        assert weights("linear-x", [[0.5, 0.25], [0.5, 0.75]], [(0, 1)]) == pytest.approx([0.5])
+        grid = [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]]
+        assert weights("linear-x", grid, [(0, 3), (1, 2), (0, 1)]) == [0.0, 0.0, 0.25]
+
     def test_same_site_rejected(self, unit_square):
         sites = domain.make_sites([[0.3, 0.6]], [1.0], 1.0)
         diag = laguerre.build(unit_square, sites, [0.0])

@@ -165,8 +165,10 @@ class TestErrorState:
         assert err.grad_norm == full.grad_norm0
         assert err.eps0 == full.eps0
         assert err.min_mass == laguerre.build(mesh, sites, d).masses.min()
+        assert err.trials == 1
         assert str(err) == (
-            f"no acceptable step after 1 halvings at iteration 1 (|g| = {err.grad_norm:.3e})"
+            "no acceptable step in 1 trial step(s), the last at tau = 1, "
+            f"at iteration 1 (|g| = {err.grad_norm:.3e})"
         )
 
 

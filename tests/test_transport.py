@@ -44,13 +44,17 @@ class TestWasserstein2:
         diag = laguerre.build(mesh, sites, [0.0])
         got = transport.wasserstein2(diag, sites) ** 2
         # only the lower-right triangle (density x there is generally nonzero)
-        from sdot.geom import integrate_quadratic
+        from sdot.geom import fan_integrals
 
-        expected = sum(
-            integrate_quadratic(f.polygon, (0.9, 0.5), *f.density)
-            for f in diag.fragments
-            if f.density != (0.0, 0.0, 0.0)
-        )
+        def cost(frag):
+            p = np.array(frag.polygon)
+            gx, gy, g0 = frag.density
+            return fan_integrals(
+                np.broadcast_to(p[0], p.shape), p, np.roll(p, -1, axis=0),
+                lambda x, y: ((x - 0.9) ** 2 + (y - 0.5) ** 2) * (gx * x + gy * y + g0),
+            ).sum()
+
+        expected = sum(cost(f) for f in diag.fragments if f.density != (0.0, 0.0, 0.0))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_gauge_invariant(self, analytic_two_site):
