@@ -8,7 +8,7 @@ a damped Newton method.
 from .domain import Mesh, SiteSet, load_mesh, load_sites, make_mesh, make_sites, sample, square_mesh
 from .dual import SparseHessian, gradient, hessian, value
 from .errors import SdotError, SolverError, ValidationError
-from .laguerre import LaguerreDiagram, assign, bisector, build, interface_weight
+from .laguerre import LaguerreDiagram, assign, bisector, build
 from .solver import SolveReport, SolverOptions, newton, solve_gauge_fixed
 from .transport import InterpolationFrame, barycenters, interpolate, wasserstein2
 
@@ -34,7 +34,6 @@ __all__ = [
     "assign",
     "bisector",
     "build",
-    "interface_weight",
     "SolveReport",
     "SolverOptions",
     "newton",

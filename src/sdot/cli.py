@@ -19,7 +19,7 @@ import numpy as np
 
 from . import domain, dual, laguerre, oracle, solver, transport
 from .domain import _atomic_write
-from .errors import SdotError, SolverError, ValidationError
+from .errors import FormatError, SdotError, SolverError, ValidationError
 
 # fixed 12-color palette for cell fills
 _PALETTE = [
@@ -69,12 +69,18 @@ def emit_report(report: solver.SolveReport, path: str) -> None:
 def load_psi(path: str, n: int) -> np.ndarray:
     """Read weights from a report JSON (``psi`` key) or a bare JSON array."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path}: invalid JSON: {exc}") from None
     if isinstance(data, dict):
         data = data.get("psi")
     if not isinstance(data, list):
         raise ValidationError(f"{path}: expected a psi array or a report with one")
-    psi = np.asarray(data, dtype=float)
+    try:
+        psi = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: psi is not an array of numbers: {exc}") from None
     if psi.shape != (n,):
         raise ValidationError(f"{path}: psi has {psi.size} entries, expected {n}")
     return psi
@@ -99,10 +105,12 @@ def render_svg(diagram: laguerre.LaguerreDiagram, path: str, width: int = 640) -
         # flip to the usual y-up orientation
         f'<g transform="translate(0 {fmt(y0 + y1)}) scale(1 -1)">',
     ]
+    xy = diagram.xy.tolist()
+    b = diagram.frag_bounds().tolist()
     by_site: dict[int, list[str]] = {}
-    for frag in diagram.fragments:
-        pts = " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in frag.polygon)
-        by_site.setdefault(frag.site, []).append(f'<path d="M {pts} Z"/>')
+    for f, j in enumerate(diagram.frag_site.tolist()):
+        pts = " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in xy[b[f] : b[f + 1]])
+        by_site.setdefault(j, []).append(f'<path d="M {pts} Z"/>')
     stroke = fmt(0.001 * mesh.bbox_diameter)
     for j in sorted(by_site):
         color = _PALETTE[(j * 2654435761 % 2**32) % len(_PALETTE)]
@@ -215,7 +223,10 @@ def _cmd_interpolate(args) -> int:
             print("error: solver: not converged; refusing to interpolate", file=sys.stderr)
             return 2
         psi = report.psi
-    times = [float(s) for s in args.times.split(",") if s.strip()]
+    try:
+        times = [float(s) for s in args.times.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"--times: {exc}") from None
     frames = transport.interpolate(mesh, sites, psi, args.n, times, args.seed)
     write_frames(frames, args.out_dir)
     return 0
@@ -244,11 +255,9 @@ def _cmd_check(args) -> int:
     ok &= err <= 1e-5
     print(f"check: finite-difference gradient max error {err:.3e} (limit 1e-05)")
 
-    per_tri = np.zeros(len(mesh.triangles))
-    from .geom import area as poly_area
-
-    for frag in diagram.fragments:
-        per_tri[frag.triangle] += poly_area(frag.polygon)
+    p, q = diagram.xy, diagram.xy[diagram.nxt]  # shoelace over every edge, by triangle
+    cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
+    per_tri = 0.5 * np.bincount(diagram.frag_tri[diagram.frag], cross, len(mesh.triangles))
     rel = float(np.abs(per_tri - mesh.tri_areas).max() / mesh.tri_areas.max())
     ok &= rel <= 1e-10
     print(f"check: per-triangle area partition max relative error {rel:.3e} (limit 1e-10)")

@@ -15,6 +15,8 @@ contributes the signed integral over the triangle from a fixed origin to
 arrays, is integrated by one vectorised call of :func:`fan_integrals`
 (the moment calculus of Steger 1996, *On the calculation of arbitrary
 moments of polygons*, with a quadrature in place of closed-form moments).
+A built diagram keeps polygon lists only in ``LaguerreDiagram.fragments`` and
+``.interfaces``, views of its arrays kept for the tests and the traced benchmark.
 """
 
 from __future__ import annotations
@@ -34,17 +36,6 @@ MERGE_REL = 1e-12
 # barycentric points.  Exact for total degree <= 3.
 _W0 = -27.0 / 48.0
 _W1 = 25.0 / 48.0
-
-
-def clip(poly: Polygon, h: HalfPlane, merge_tol: float = 0.0) -> Polygon:
-    """Intersect a convex CCW polygon with a half-plane.
-
-    Returns a new polygon (possibly empty).  Vertices within ``merge_tol``
-    of the boundary line count as inside, which keeps shared boundaries
-    stable under repeated clipping.  This is :func:`clip_labeled` with the
-    edge labels dropped.
-    """
-    return clip_labeled(poly, [0] * len(poly), h, 0, merge_tol)[0]
 
 
 def clip_labeled(
@@ -97,8 +88,6 @@ def _merged(
 ) -> tuple[Polygon, list[int]]:
     if len(poly) < 3:
         return [], []
-    if merge_tol <= 0.0:
-        return poly, labels
     t2 = merge_tol * merge_tol
     out: Polygon = []
     lout: list[int] = []
@@ -158,17 +147,3 @@ def fan_integrals(o: np.ndarray, p: np.ndarray, q: np.ndarray, f) -> np.ndarray:
     acc = acc + _W1 * f(0.2 * ox + 0.6 * px + 0.2 * qx, 0.2 * oy + 0.6 * py + 0.2 * qy)
     acc = acc + _W1 * f(0.2 * ox + 0.2 * px + 0.6 * qx, 0.2 * oy + 0.2 * py + 0.6 * qy)
     return tri_area * acc
-
-
-def polygon_contains(poly: Polygon, p: Point, tol: float = 0.0) -> bool:
-    """Point-in-convex-polygon test (CCW polygon, boundary counts inside)."""
-    n = len(poly)
-    if n < 3:
-        return False
-    px, py = p
-    xn, yn = poly[n - 1]
-    for x, y in poly:
-        if (x - xn) * (py - yn) - (y - yn) * (px - xn) < -tol:
-            return False
-        xn, yn = x, y
-    return True

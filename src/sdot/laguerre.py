@@ -28,7 +28,8 @@ row pointing at the row of its end vertex.  Cell integrals (masses,
 transport cost, moments) are one :func:`geom.fan_integrals` call over all
 edges, each edge's triangle spanned from its fragment's first vertex, and
 one ``bincount`` by site; interface weights are one ``bincount`` over the
-edges whose label is a higher-indexed site.
+edges whose label is a higher-indexed site.  ``fragments`` and ``interfaces``
+are object views of the arrays, kept for the tests and the traced benchmark.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class LaguerreDiagram:
         masses.setflags(write=False)
         object.__setattr__(self, "masses", masses)
 
-    def _bounds(self) -> np.ndarray:
+    def frag_bounds(self) -> np.ndarray:
         """First row of each fragment, then ``E``."""
         return np.searchsorted(self.frag, np.arange(len(self.frag_site) + 1))
 
@@ -109,7 +110,7 @@ class LaguerreDiagram:
         """
         site = self.frag_site[self.frag]
         gx, gy, g0 = self.mesh.tri_density[self.frag_tri[self.frag]].T
-        o = self.xy[self._bounds()[self.frag]]  # each fragment's first vertex
+        o = self.xy[self.frag_bounds()[self.frag]]  # each fragment's first vertex
         vals = fan_integrals(
             o, self.xy, self.xy[self.nxt], lambda x, y: f(x, y, site) * (gx * x + gy * y + g0)
         )
@@ -147,7 +148,7 @@ class LaguerreDiagram:
         """The fragments as ``CellFragment`` objects, in build order."""
         pts = [tuple(p) for p in self.xy.tolist()]
         rho = [tuple(r) for r in self.mesh.tri_density.tolist()]
-        b = self._bounds().tolist()
+        b = self.frag_bounds().tolist()
         return [
             CellFragment(j, t, pts[b[f] : b[f + 1]], rho[t])
             for f, (j, t) in enumerate(zip(self.frag_site.tolist(), self.frag_tri.tolist()))
@@ -219,7 +220,7 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
     for j in range(n):
         if neighbors[j] is None:  # hidden above the lower hull: empty cell
             continue
-        cell, labels, applied = _clip_cell(
+        cell, labels, cuts = _clip_cell(
             bbox_rect, pos[j], psi_l[j], psi_l, pos, neighbors[j], merge_tol
         )
         if not cell:
@@ -235,7 +236,6 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
             & (tri_bb[:, 3] >= min(cy) - merge_tol)
         )[0]
 
-        cuts = None  # the applied bisectors, built once a fragment needs them
         for t in cand.tolist():
             corners = tri_pts[t]
             poly, lab = cell, labels
@@ -249,8 +249,6 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
             if not poly or area(poly) < area_drop:
                 continue
             if BOUNDARY in lab:
-                if cuts is None:
-                    cuts = _cuts(pos[j], psi_l[j], psi_l, pos, applied, merge_tol)
                 lab = _relabel_boundary_edges(poly, lab, cuts)
             verts.extend(poly)
             edge_labels.extend(lab)
@@ -293,7 +291,7 @@ def _power_neighbors(positions: np.ndarray, psi: np.ndarray) -> list[list[int] |
                 return _line_neighbors(p @ axes[0], q)
     if hull is None:
         return [[k for k in range(n) if k != j] for j in range(n)]
-    tri = hull.simplices[hull.equations[:, 2] < 0]
+    tri = hull.simplices[hull.equations[:, 2] < 0].astype(np.intp)  # i * n + k overflows int32
     i = tri.ravel()
     k = tri[:, [1, 2, 0]].ravel()
     keys = np.unique(np.concatenate([i * n + k, k * n + i]))
@@ -333,28 +331,19 @@ def _clip_cell(bbox_rect, yj, psi_j, psi, pos, candidates, merge_tol):
     neighbours of j, or every other site when the lifted set is flat and
     the sites are not collinear.  Either way it contains every site whose
     cell can share an edge with j's, so the result is the exact cell.
-    Returns the polygon, its edge labels and the candidates clipped against,
-    stopping early if the cell becomes empty.
+    Returns the polygon, its edge labels and a ``(k, a, b, c, band)`` per
+    bisector clipped against, stopping early if the cell becomes empty.
     """
     poly: Polygon = list(bbox_rect)
     labels = [BOUNDARY] * len(poly)
-    applied: list[int] = []
+    cuts = []
     for k in candidates:
-        h = bisector(yj, psi_j, pos[k], psi[k])
+        a, b, c = h = bisector(yj, psi_j, pos[k], psi[k])
         poly, labels = clip_labeled(poly, labels, h, k, merge_tol)
-        applied.append(k)
+        cuts.append((k, a, b, c, merge_tol * math.hypot(a, b)))
         if not poly:
             break
-    return poly, labels, applied
-
-
-def _cuts(yj, psi_j, psi, pos, applied, merge_tol):
-    """``(k, a, b, c, band)`` for each applied bisector of site j, in order."""
-    out = []
-    for k in applied:
-        a, b, c = bisector(yj, psi_j, pos[k], psi[k])
-        out.append((k, a, b, c, merge_tol * math.hypot(a, b)))
-    return out
+    return poly, labels, cuts
 
 
 def _relabel_boundary_edges(poly, labels, cuts):
@@ -363,7 +352,7 @@ def _relabel_boundary_edges(poly, labels, cuts):
     A bisector lying exactly on a mesh edge never cuts either neighboring
     triangle, so the shared edge keeps the BOUNDARY label; detect that case
     by checking boundary-labelled edges against the applied bisectors
-    ``cuts`` (see :func:`_cuts`).
+    ``cuts`` (see :func:`_clip_cell`).
     """
     m = len(poly)
     out = list(labels)
@@ -377,20 +366,6 @@ def _relabel_boundary_edges(poly, labels, cuts):
                 out[e] = k
                 break
     return out
-
-
-def interface_weight(diagram: LaguerreDiagram, i: int, j: int) -> float:
-    """Density line integral over the (i, j) interface, over ``2 |y_i - y_j|``.
-
-    Zero when the cells are not adjacent.  This is the magnitude of the
-    off-diagonal dual Hessian entry, looked up in
-    ``diagram.interface_weights``.
-    """
-    if i == j:
-        raise ValidationError("interface requires two distinct sites")
-    pairs, weights = diagram.interface_weights
-    hit = weights[(pairs == (min(i, j), max(i, j))).all(axis=1)]
-    return float(hit[0]) if hit.size else 0.0
 
 
 def assign(

@@ -37,3 +37,24 @@ def random_problem(n_sites, seed, resolution=1, density="const:1", uniform_nu=Fa
         nu = 0.5 + rng.random(n_sites)
     sites = domain.make_sites(positions, nu, mesh.total_mass, normalize=True)
     return mesh, sites
+
+
+def interface_weight(diag, i, j):
+    """Hessian weight of the pair ``(i, j)`` in ``diag.interface_weights``; 0 if not adjacent."""
+    pairs, weights = diag.interface_weights
+    hit = weights[(pairs == (min(i, j), max(i, j))).all(axis=1)]
+    return float(hit[0]) if hit.size else 0.0
+
+
+def polygon_contains(poly, p, tol=0.0):
+    """Point-in-convex-polygon test (CCW polygon, boundary counts inside)."""
+    n = len(poly)
+    if n < 3:
+        return False
+    px, py = p
+    xn, yn = poly[n - 1]
+    for x, y in poly:
+        if (x - xn) * (py - yn) - (y - yn) * (px - xn) < -tol:
+            return False
+        xn, yn = x, y
+    return True

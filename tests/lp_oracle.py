@@ -11,8 +11,6 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from sdot.geom import clip
-
 # desk scale: up to a 64x64 source discretization against up to 64 targets
 MAX_SOURCES = 64 * 64
 MAX_TARGETS = 64
@@ -103,6 +101,25 @@ def _affine_integral(poly, gx, gy, g0):
     return total
 
 
+def _clip(poly, a, b, c):
+    """Part of a convex CCW polygon where ``a*x + b*y <= c``, or ``[]``.
+
+    Plain Sutherland-Hodgman with no tolerance, independent of the clip the
+    diagram pipeline uses.
+    """
+    out = []
+    for i, p in enumerate(poly):
+        q = poly[(i + 1) % len(poly)]
+        fp = a * p[0] + b * p[1] - c
+        fq = a * q[0] + b * q[1] - c
+        if fp <= 0.0:
+            out.append(p)
+        if (fp <= 0.0) != (fq <= 0.0):
+            t = fp / (fp - fq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out if len(out) >= 3 else []
+
+
 def grid_discretization(mesh, k: int):
     """k-by-k cell-center discretization of the mesh density, exact masses.
 
@@ -125,10 +142,10 @@ def grid_discretization(mesh, k: int):
             lo_y, hi_y = ys[iy], ys[iy + 1]
             cell_mass = 0.0
             for tri, (gx, gy, g0) in zip(tris, rho):
-                poly = clip(tri, (1.0, 0.0, hi_x))
-                poly = clip(poly, (-1.0, 0.0, -lo_x))
-                poly = clip(poly, (0.0, 1.0, hi_y))
-                poly = clip(poly, (0.0, -1.0, -lo_y))
+                poly = _clip(tri, 1.0, 0.0, hi_x)
+                poly = _clip(poly, -1.0, 0.0, -lo_x)
+                poly = _clip(poly, 0.0, 1.0, hi_y)
+                poly = _clip(poly, 0.0, -1.0, -lo_y)
                 if poly:
                     cell_mass += _affine_integral(poly, gx, gy, g0)
             if cell_mass > 0.0:

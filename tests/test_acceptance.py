@@ -13,7 +13,7 @@ import pytest
 
 from sdot import domain, dual, laguerre, oracle, solver, transport
 
-from conftest import random_problem
+from conftest import polygon_contains, random_problem
 from lp_oracle import DiscreteProblem, grid_discretization, solve_discrete_lp
 
 ANALYTIC_W2_SQ = 13 / 96
@@ -209,8 +209,6 @@ def test_criterion_10_voronoi_reduction():
     frags_by_site = {}
     for f in diag.fragments:
         frags_by_site.setdefault(f.site, []).append(f.polygon)
-    from sdot.geom import polygon_contains
-
     tol = 1e-9 * mesh.bbox_diameter
     agree = sum(
         1

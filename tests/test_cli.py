@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,32 @@ class TestSolve:
                          "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: io:")
+
+
+class TestMalformedInput:
+    """Bad input ends in one ``error: <category>: <detail>`` line and exit status 1."""
+
+    @pytest.mark.parametrize(
+        "text", ['{"psi": [0.25,', '["a", 0]', "[{}, 0]"],
+        ids=["truncated-json", "string-entry", "object-entry"],
+    )
+    def test_malformed_psi_is_a_parse_error(self, square_files, tmp_path, capsys, text):
+        mesh_path, sites_path = square_files
+        psi = tmp_path / "psi.json"
+        psi.write_text(text)
+        code = cli.main(["distance", "--mesh", str(mesh_path), "--sites", str(sites_path),
+                         "--psi", str(psi)])
+        assert code == 1
+        assert re.fullmatch(r"error: parse: [^\n]+\n", capsys.readouterr().err)
+
+    def test_non_numeric_time_is_a_validation_error(self, square_files, tmp_path, capsys):
+        mesh_path, sites_path = square_files
+        psi = tmp_path / "psi.json"
+        psi.write_text("[0.25, 0.0]")
+        code = cli.main(["interpolate", "--mesh", str(mesh_path), "--sites", str(sites_path),
+                         "--psi", str(psi), "--times", "0,x", "--out-dir", str(tmp_path / "f")])
+        assert code == 1
+        assert re.fullmatch(r"error: validation: [^\n]+\n", capsys.readouterr().err)
 
 
 class TestDistance:

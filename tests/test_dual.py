@@ -3,7 +3,7 @@ import pytest
 
 from sdot import domain, dual, laguerre, oracle
 
-from conftest import random_problem
+from conftest import interface_weight, random_problem
 
 
 def build_at(mesh, sites, psi):
@@ -95,7 +95,7 @@ class TestHessian:
         ref = np.zeros((20, 20))
         off = np.zeros(20)
         for i, j in sorted(diag.interfaces):
-            w = laguerre.interface_weight(diag, i, j)
+            w = interface_weight(diag, i, j)
             ref[i, j] = ref[j, i] = w
             off[i] += w
             off[j] += w

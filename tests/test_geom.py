@@ -6,8 +6,15 @@ from scipy import integrate
 
 from sdot import geom
 
+from conftest import polygon_contains
+
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 TRI = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+
+def clip(poly, h, merge_tol=0.0):
+    """``geom.clip_labeled`` with the edge labels dropped."""
+    return geom.clip_labeled(poly, [0] * len(poly), h, 0, merge_tol)[0]
 
 
 def random_convex_polygon(rng):
@@ -17,7 +24,7 @@ def random_convex_polygon(rng):
         theta = rng.uniform(0, 2 * math.pi)
         a, b = math.cos(theta), math.sin(theta)
         px, py = rng.uniform(0.2, 0.8, size=2)
-        poly = geom.clip(poly, (a, b, a * px + b * py), 1e-12)
+        poly = clip(poly, (a, b, a * px + b * py), 1e-12)
         if len(poly) < 3:
             return list(UNIT_SQUARE)
     return poly
@@ -25,22 +32,22 @@ def random_convex_polygon(rng):
 
 class TestClip:
     def test_axis_aligned_bisection(self):
-        out = geom.clip(UNIT_SQUARE, (1.0, 0.0, 0.5))
+        out = clip(UNIT_SQUARE, (1.0, 0.0, 0.5))
         assert geom.area(out) == pytest.approx(0.5, abs=1e-15)
         assert all(x <= 0.5 + 1e-12 for x, _ in out)
 
     def test_identity_when_contained(self):
-        out = geom.clip(UNIT_SQUARE, (1.0, 0.0, 2.0))
+        out = clip(UNIT_SQUARE, (1.0, 0.0, 2.0))
         assert out == UNIT_SQUARE
 
     def test_cut_corner(self):
-        out = geom.clip(UNIT_SQUARE, (1.0, 1.0, 0.5))
+        out = clip(UNIT_SQUARE, (1.0, 1.0, 0.5))
         assert geom.area(out) == pytest.approx(0.125, abs=1e-15)
         assert sorted(out) == pytest.approx(sorted([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)]))
 
     def test_empty_result(self):
-        assert geom.clip(UNIT_SQUARE, (1.0, 0.0, -1.0)) == []
-        assert geom.clip([], (1.0, 0.0, 0.0)) == []
+        assert clip(UNIT_SQUARE, (1.0, 0.0, -1.0)) == []
+        assert clip([], (1.0, 0.0, 0.0)) == []
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
@@ -49,8 +56,8 @@ class TestClip:
             theta = rng.uniform(0, 2 * math.pi)
             a, b = math.cos(theta), math.sin(theta)
             c = a * rng.uniform(0, 1) + b * rng.uniform(0, 1)
-            once = geom.clip(poly, (a, b, c), 1e-12)
-            twice = geom.clip(once, (a, b, c), 1e-12)
+            once = clip(poly, (a, b, c), 1e-12)
+            twice = clip(once, (a, b, c), 1e-12)
             assert len(once) == len(twice)
             for p, q in zip(once, twice):
                 assert math.hypot(p[0] - q[0], p[1] - q[1]) <= 1e-12 * math.sqrt(2)
@@ -62,8 +69,8 @@ class TestClip:
             theta = rng.uniform(0, 2 * math.pi)
             a, b = math.cos(theta), math.sin(theta)
             c = a * rng.uniform(0, 1) + b * rng.uniform(0, 1)
-            kept = geom.area(geom.clip(poly, (a, b, c), 1e-12))
-            rest = geom.area(geom.clip(poly, (-a, -b, -c), 1e-12))
+            kept = geom.area(clip(poly, (a, b, c), 1e-12))
+            rest = geom.area(clip(poly, (-a, -b, -c), 1e-12))
             assert kept + rest == pytest.approx(geom.area(poly), rel=1e-12, abs=1e-15)
 
 
@@ -137,7 +144,7 @@ class TestIntegrateQuadratic:
 
             n = 200_000
             pts = rng.uniform(0, 1, size=(n, 2))
-            inside = np.array([geom.polygon_contains(poly, (x, y), 1e-12) for x, y in pts])
+            inside = np.array([polygon_contains(poly, (x, y), 1e-12) for x, y in pts])
             vals = np.where(
                 inside,
                 ((pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2)

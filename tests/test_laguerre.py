@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from sdot import domain, laguerre
 from sdot.errors import ValidationError
-from sdot.geom import MERGE_REL, area, clip_labeled, polygon_contains
+from sdot.geom import MERGE_REL, area, clip_labeled
 
-from conftest import random_problem
+from conftest import interface_weight, polygon_contains, random_problem
 
 
 def halfplane_contains(h, p):
@@ -85,7 +86,7 @@ class TestBuild:
         sites = domain.make_sites([[0.25, 0.5], [0.75, 0.5]], [0.5, 0.5], 1.0)
         diag = laguerre.build(mesh, sites, np.zeros(2))
         assert diag.masses == pytest.approx([0.5, 0.5], abs=1e-12)
-        assert laguerre.interface_weight(diag, 0, 1) == pytest.approx(1.0, rel=1e-10)
+        assert interface_weight(diag, 0, 1) == pytest.approx(1.0, rel=1e-10)
 
     def test_psi_length_checked(self, unit_square):
         sites = domain.make_sites([[0.3, 0.6]], [1.0], 1.0)
@@ -98,21 +99,21 @@ class TestInterfaceWeight:
         sites = domain.make_sites([[0.25, 0.5], [0.75, 0.5]], [0.5, 0.5], 1.0)
         diag = laguerre.build(unit_square, sites, np.zeros(2))
         # segment integral 1 over 2 * 0.5 distance
-        assert laguerre.interface_weight(diag, 0, 1) == pytest.approx(1.0, rel=1e-12)
-        assert laguerre.interface_weight(diag, 1, 0) == pytest.approx(1.0, rel=1e-12)
+        assert interface_weight(diag, 0, 1) == pytest.approx(1.0, rel=1e-12)
+        assert interface_weight(diag, 1, 0) == pytest.approx(1.0, rel=1e-12)
 
     def test_non_adjacent_pair_is_zero(self, unit_square):
         sites = domain.make_sites(
             [[0.2, 0.5], [0.5, 0.5], [0.8, 0.5]], [1 / 3] * 3, 1.0
         )
         diag = laguerre.build(unit_square, sites, np.zeros(3))
-        assert laguerre.interface_weight(diag, 0, 2) == 0.0
+        assert interface_weight(diag, 0, 2) == 0.0
 
     def test_linear_in_density(self):
         mesh = domain.square_mesh(1, "const:2")
         sites = domain.make_sites([[0.25, 0.5], [0.75, 0.5]], [1.0, 1.0], mesh.total_mass)
         diag = laguerre.build(mesh, sites, np.zeros(2))
-        assert laguerre.interface_weight(diag, 0, 1) == pytest.approx(2.0, rel=1e-12)
+        assert interface_weight(diag, 0, 1) == pytest.approx(2.0, rel=1e-12)
 
     def test_segment_examples(self):
         # trapezoid rule on the interface: the unit segment x = 0.5 under
@@ -123,18 +124,12 @@ class TestInterfaceWeight:
             n = len(positions)
             sites = domain.make_sites(positions, [1.0] * n, mesh.total_mass, normalize=True)
             diag = laguerre.build(mesh, sites, np.zeros(n))
-            return [laguerre.interface_weight(diag, i, j) for i, j in pairs]
+            return [interface_weight(diag, i, j) for i, j in pairs]
 
         assert weights("const:1", [[0.25, 0.5], [0.75, 0.5]], [(0, 1)]) == pytest.approx([1.0])
         assert weights("linear-x", [[0.5, 0.25], [0.5, 0.75]], [(0, 1)]) == pytest.approx([0.5])
         grid = [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]]
         assert weights("linear-x", grid, [(0, 3), (1, 2), (0, 1)]) == [0.0, 0.0, 0.25]
-
-    def test_same_site_rejected(self, unit_square):
-        sites = domain.make_sites([[0.3, 0.6]], [1.0], 1.0)
-        diag = laguerre.build(unit_square, sites, [0.0])
-        with pytest.raises(ValidationError):
-            laguerre.interface_weight(diag, 0, 0)
 
 
 class TestDiagramProperties:
@@ -420,3 +415,19 @@ def test_collinear_sites_have_at_most_two_neighbours():
         neighbors = laguerre._power_neighbors(positions, psi)
         assert max(len(c) for c in neighbors if c is not None) <= 2
     assert any(c is None for c in neighbors)  # random weights hide sites
+
+
+def test_neighbour_keys_do_not_overflow_int32():
+    # 216 x 216 = 46 656 sites, so the pair key i * n + k exceeds 2**31
+    k = 216
+    rng = np.random.default_rng(0)
+    i, j = np.meshgrid(np.arange(k), np.arange(k), indexing="xy")
+    corner = np.column_stack([i.ravel(), j.ravel()])
+    positions = (corner + 0.25 + 0.5 * rng.random((k * k, 2))) / k
+    neighbors = laguerre._power_neighbors(positions, np.zeros(k * k))
+    assert all(c is not None for c in neighbors)  # at psi = 0 every cell holds its site
+    got = {(a, b) for a, c in enumerate(neighbors) for b in c if a < b}
+    # at psi = 0 the lower hull of the lifted sites projects to the Delaunay triangulation
+    tri = Delaunay(positions).simplices
+    edges = np.sort(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+    assert got == set(map(tuple, edges.tolist()))

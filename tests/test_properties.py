@@ -2,8 +2,8 @@
 
 Sites are drawn uniformly, on mesh vertices, on mesh edges (grid lines and
 the triangles' diagonals) and on a cocircular dyadic grid, with random
-weights, on ``square_mesh(k, "linear-x")``.  Examples are derandomized, so
-every run checks the same inputs.
+weights, on ``square_mesh(k, "linear-x")`` (and on a non-convex L-shape).
+Examples are derandomized, so every run checks the same inputs.
 """
 
 import math
@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sdot import domain, dual, laguerre
-from sdot.geom import area
+from sdot.geom import MERGE_REL, area
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -105,3 +105,59 @@ def test_masses_are_gauge_invariant(problem, c):
     m0 = laguerre.build(mesh, sites, psi).masses
     m1 = laguerre.build(mesh, sites, psi + c).masses
     assert np.abs(m1 - m0).max() <= 1e-12 * mesh.total_mass
+
+
+@property_settings
+@given(problems(), st.data())
+def test_permuting_the_sites_permutes_the_cells(problem, data):
+    mesh, sites, psi = problem
+    perm = np.array(data.draw(st.permutations(range(len(sites)))))
+    moved = domain.make_sites(sites.positions[perm], sites.masses[perm], mesh.total_mass)
+    d0 = laguerre.build(mesh, sites, psi)
+    d1 = laguerre.build(mesh, moved, psi[perm])
+    assert np.abs(d1.masses - d0.masses[perm]).max() <= 1e-12 * mesh.total_mass
+    keys = {tuple(sorted(perm[pair])) for pair in d1.interface_weights[0].tolist()}
+    assert keys == set(map(tuple, d0.interface_weights[0].tolist()))
+
+
+@property_settings
+@given(problems())
+def test_interface_edges_lie_on_their_bisectors(problem):
+    mesh, sites, psi = problem
+    diag = laguerre.build(mesh, sites, psi)
+    pos = [tuple(p) for p in sites.positions.tolist()]
+    merge_tol = MERGE_REL * mesh.bbox_diameter
+    site = diag.frag_site[diag.frag]
+    for e in np.flatnonzero(diag.label >= 0).tolist():
+        j, k = int(site[e]), int(diag.label[e])
+        a, b, c = laguerre.bisector(pos[j], psi[j], pos[k], psi[k])
+        band = merge_tol * math.hypot(a, b)
+        for x, y in (diag.xy[e], diag.xy[diag.nxt[e]]):
+            assert abs(a * x + b * y - c) <= band
+
+
+def l_shape():
+    """``square_mesh(8, "linear-x")`` without the triangles whose centroid is in (0.5, 1]^2."""
+    full = domain.square_mesh(8, "linear-x")
+    centroid = full.vertices[full.triangles].mean(axis=1)
+    keep = ~(centroid > 0.5).all(axis=1)
+    return domain.make_mesh(full.vertices, full.densities, full.triangles[keep])
+
+
+L_SHAPE = l_shape()
+
+
+@property_settings
+@given(problems())
+def test_cells_partition_a_non_convex_domain(problem):
+    # relative to the whole domain: a sliver within the merge band along an
+    # edge of a small triangle is dropped, which costs up to about
+    # MERGE_REL * diameter * edge length of that triangle's area
+    _, sites, psi = problem
+    mesh = L_SHAPE
+    diag = laguerre.build(mesh, sites, psi)
+    assert abs(diag.masses.sum() - mesh.total_mass) <= 1e-12 * mesh.total_mass
+    per_tri = np.zeros(len(mesh.triangles))
+    for f in diag.fragments:
+        per_tri[f.triangle] += area(f.polygon)
+    assert np.abs(per_tri - mesh.tri_areas).max() <= 1e-12 * mesh.tri_areas.sum()
