@@ -77,10 +77,12 @@ def load_psi(path: str, n: int) -> np.ndarray:
         data = data.get("psi")
     if not isinstance(data, list):
         raise ValidationError(f"{path}: expected a psi array or a report with one")
+    if any(type(v) not in (int, float) for v in data):  # a bool is no number here
+        raise FormatError(f"{path}: psi is not an array of numbers")
     try:
         psi = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: psi is not an array of numbers: {exc}") from None
+    except OverflowError as exc:
+        raise FormatError(f"{path}: psi entry out of range: {exc}") from None
     if psi.shape != (n,):
         raise ValidationError(f"{path}: psi has {psi.size} entries, expected {n}")
     return psi

@@ -69,9 +69,6 @@ class SparseHessian:
         h[j, i] = self.weights
         return h
 
-    def row_sums(self) -> np.ndarray:
-        return self.diag + _off_sums(self.n, self.pairs, self.weights)
-
     def neg_reduced(self, pin: int) -> sparse.csc_matrix:
         """Negated Hessian with the pinned row/column removed (SPD if connected)."""
         keep = (self.pairs != pin).all(axis=1)
@@ -93,13 +90,9 @@ class SparseHessian:
         return [np.nonzero(labels == c)[0].tolist() for c in range(count)]
 
 
-def _off_sums(n: int, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # pair by pair, i then j: one fixed order, so diag + these sums is exactly 0
-    return np.bincount(pairs.ravel(), np.repeat(weights, 2), minlength=n)
-
-
 def hessian(diagram: LaguerreDiagram, sites: SiteSet) -> SparseHessian:
     """Assemble the interface-supported Hessian from the diagram."""
     n = len(sites)
     pairs, weights = diagram.interface_weights
-    return SparseHessian(n, pairs, weights, -_off_sums(n, pairs, weights))
+    off = np.bincount(pairs.ravel(), np.repeat(weights, 2), minlength=n)  # each row's weights
+    return SparseHessian(n, pairs, weights, -off)

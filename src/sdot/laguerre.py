@@ -9,11 +9,9 @@ their lifted sites share an edge of that hull, and a site that is not a
 vertex of any lower facet has an empty cell.  Each build computes the hull
 once (Qhull via ``scipy.spatial.ConvexHull``) and clips the mesh bounding
 box of every cell against the power bisectors of its hull neighbours only,
-about six per cell.  When the sites are collinear the lifted set is flat and
-Qhull has no hull; the cells are then slabs whose neighbours come from the
-one-dimensional lower hull over the sites' line.  With fewer than 4 sites,
-or another flat lifted set (such as 4 cocircular sites at equal weights),
-every other site is clipped against instead.  Each cell is then
+about six per cell.  Three ghost sites far outside the mesh keep the lifted
+set full-dimensional for any sites (few, collinear or cocircular) without
+changing a cell inside the mesh bounding box.  Each cell is then
 intersected with the mesh triangles to produce fragments carrying the
 local affine density.
 
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
 from .domain import Mesh, SiteSet
 from .errors import ValidationError
@@ -206,7 +204,7 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
     bbox_rect: Polygon = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
     merge_tol = MERGE_REL * mesh.bbox_diameter
     area_drop = AREA_DROP_REL * max((x1 - x0) * (y1 - y0), merge_tol**2)
-    neighbors = _power_neighbors(sites.positions, psi)
+    neighbors = _power_neighbors(sites.positions, psi, mesh.bbox)
     tri_bb = mesh.tri_bboxes
     # native floats: the clipping loops box numpy scalars otherwise
     pos = [tuple(p) for p in sites.positions.tolist()]
@@ -264,73 +262,56 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
     return LaguerreDiagram(mesh, sites, psi, xy, nxt, label, frag, frag_site, frag_tri)
 
 
-def _power_neighbors(positions: np.ndarray, psi: np.ndarray) -> list[list[int] | None]:
+def _power_neighbors(positions: np.ndarray, psi: np.ndarray, bbox) -> list[list[int] | None]:
     """Candidate power neighbours of each site, in increasing index order.
 
-    These are the edges of the lower facets (``equations[:, 2] < 0``) of the
-    convex hull of the lifted sites ``(y, |y|^2 - psi)``, a superset of the
-    pairs whose cells share an edge.  ``None`` marks a site that is no
-    vertex of a lower facet, whose cell is empty.  When Qhull finds the
-    lifted set flat because the sites are collinear, the neighbours come
-    from the lower hull of the sites lifted over their line instead (see
-    :func:`_line_neighbors`).  With fewer than 4 sites, or a flat lifted set
-    of sites that are not collinear, every other site is a candidate.
+    These are the site-to-site edges of the lower facets
+    (``equations[:, 2] < 0``) of the convex hull of the lifted sites
+    ``(y, |y|^2 - psi)``, a superset of the pairs whose cells share an edge
+    inside ``bbox``.  ``None`` marks a site that is no vertex of a lower
+    facet, whose cell is empty.
+
+    Three ghost sites make the lifted set full-dimensional for any sites.
+    With ``c`` the centre of the bounding box of the sites and ``bbox``, and
+    ``R`` the largest distance from ``c`` to a site or a corner of ``bbox``,
+    they sit at ``c + 4R (cos t, sin t)`` for t = 0, 120 and 240 degrees,
+    with weight ``psi.max()``.  In ``bbox`` a ghost's power distance is at
+    least ``9 R^2 - psi.max()`` and the heaviest site's at most
+    ``4 R^2 - psi.max()``, so no ghost cell meets ``bbox``: there the cells
+    and their adjacencies are those of the sites alone.  The ghosts lift to
+    one horizontal plane and the heaviest site lies strictly below it, so
+    Qhull never sees a flat set.  A visible site with only ghost neighbours
+    is the one visible site and owns the whole box.
     """
     n = len(positions)
-    hull = None
-    if n >= 4:
-        # centring changes the lifted set by an affine map of the plane
-        # coordinates, which keeps the lower hull and improves conditioning
-        p = positions - positions.mean(axis=0)
-        q = psi - psi.mean()
-        try:
-            hull = ConvexHull(np.column_stack([p, (p * p).sum(axis=1) - q]))
-        except QhullError:  # the lifted set is flat
-            _, sv, axes = np.linalg.svd(p, full_matrices=False)
-            if sv[1] <= 1e-12 * sv[0]:  # collinear sites
-                return _line_neighbors(p @ axes[0], q)
-    if hull is None:
-        return [[k for k in range(n) if k != j] for j in range(n)]
+    x0, y0, x1, y1 = bbox
+    both = np.vstack([positions, [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]])
+    c = 0.5 * (both.min(axis=0) + both.max(axis=0))
+    r = float(np.sqrt(((both - c) ** 2).sum(axis=1).max()))
+    t = np.radians([0.0, 120.0, 240.0])
+    # centring changes the lifted set by an affine map of the plane
+    # coordinates, which keeps the lower hull and improves conditioning
+    p = np.vstack([positions - c, 4.0 * r * np.column_stack([np.cos(t), np.sin(t)])])
+    q = np.concatenate([psi, np.full(3, psi.max())]) - psi.max()
+    hull = ConvexHull(np.column_stack([p, (p * p).sum(axis=1) - q]))
     tri = hull.simplices[hull.equations[:, 2] < 0].astype(np.intp)  # i * n + k overflows int32
     i = tri.ravel()
     k = tri[:, [1, 2, 0]].ravel()
+    real = (i < n) & (k < n)  # drop the edges to ghosts
+    i, k = i[real], k[real]
     keys = np.unique(np.concatenate([i * n + k, k * n + i]))
     starts = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
     ks = (keys % n).tolist()
-    return [ks[a:b] if a < b else None for a, b in zip(starts, starts[1:])]
-
-
-def _line_neighbors(t: np.ndarray, q: np.ndarray) -> list[list[int] | None]:
-    """Power neighbours of collinear sites at positions ``t`` on their line.
-
-    The cells are slabs across the line, ordered as the vertices of the
-    lower hull of ``(t, t^2 - q)`` (monotone chain), so each hull vertex
-    has its predecessor and successor as candidates and every other site
-    has an empty cell (``None``).
-    """
-    tl = t.tolist()
-    z = (t * t - q).tolist()
-    hull: list[int] = []
-    for i in np.lexsort((z, t)).tolist():
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (tl[b] - tl[a]) * (z[i] - z[a]) - (z[b] - z[a]) * (tl[i] - tl[a]) > 0:
-                break
-            hull.pop()
-        hull.append(i)
-    out: list[list[int] | None] = [None] * len(tl)
-    for h, j in enumerate(hull):
-        out[j] = sorted(hull[max(h - 1, 0) : h] + hull[h + 1 : h + 2])
-    return out
+    seen = np.isin(np.arange(n), tri).tolist()  # vertices of a lower facet
+    return [ks[a:b] if v else None for a, b, v in zip(starts, starts[1:], seen)]
 
 
 def _clip_cell(bbox_rect, yj, psi_j, psi, pos, candidates, merge_tol):
     """Clip the bbox against the bisectors of site j with its candidates.
 
     ``candidates`` comes from :func:`_power_neighbors`: the lower-hull
-    neighbours of j, or every other site when the lifted set is flat and
-    the sites are not collinear.  Either way it contains every site whose
-    cell can share an edge with j's, so the result is the exact cell.
+    neighbours of j, which contain every site whose cell can share an edge
+    with j's inside the bbox, so the result is the exact cell.
     Returns the polygon, its edge labels and a ``(k, a, b, c, band)`` per
     bisector clipped against, stopping early if the cell becomes empty.
     """

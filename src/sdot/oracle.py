@@ -35,34 +35,29 @@ def mc_masses(
 
 def fd_gradient(mesh: Mesh, sites: SiteSet, psi, h: float = 1e-6) -> np.ndarray:
     """Central differences of the dual value, one coordinate at a time."""
+    return _central_differences(mesh, sites, psi, h, lambda d, p: dual.value(d, sites, p))
+
+
+def fd_hessian(mesh: Mesh, sites: SiteSet, psi, h: float = 1e-5) -> np.ndarray:
+    """Central differences of the analytic gradient, column by column."""
+    return _central_differences(mesh, sites, psi, h, lambda d, p: dual.gradient(d, sites))
+
+
+def _central_differences(mesh: Mesh, sites: SiteSet, psi, h: float, f) -> np.ndarray:
+    """``(f(psi + h e_j) - f(psi - h e_j)) / 2h`` for each site j, as entry or column j.
+
+    ``f(diagram, p)`` is evaluated on the diagram built at the weights ``p``.
+    """
     if h <= 0:
         raise ValidationError("step must be positive")
     psi = np.asarray(psi, dtype=float)
-    out = np.empty(len(sites))
+    out = []
     for j in range(len(sites)):
         plus = psi.copy()
         plus[j] += h
         minus = psi.copy()
         minus[j] -= h
-        v_plus = dual.value(laguerre.build(mesh, sites, plus), sites, plus)
-        v_minus = dual.value(laguerre.build(mesh, sites, minus), sites, minus)
-        out[j] = (v_plus - v_minus) / (2.0 * h)
-    return out
-
-
-def fd_hessian(mesh: Mesh, sites: SiteSet, psi, h: float = 1e-5) -> np.ndarray:
-    """Central differences of the analytic gradient, column by column."""
-    if h <= 0:
-        raise ValidationError("step must be positive")
-    psi = np.asarray(psi, dtype=float)
-    n = len(sites)
-    out = np.empty((n, n))
-    for j in range(n):
-        plus = psi.copy()
-        plus[j] += h
-        minus = psi.copy()
-        minus[j] -= h
-        g_plus = dual.gradient(laguerre.build(mesh, sites, plus), sites)
-        g_minus = dual.gradient(laguerre.build(mesh, sites, minus), sites)
-        out[:, j] = (g_plus - g_minus) / (2.0 * h)
-    return out
+        f_plus = f(laguerre.build(mesh, sites, plus), plus)
+        f_minus = f(laguerre.build(mesh, sites, minus), minus)
+        out.append((f_plus - f_minus) / (2.0 * h))
+    return np.array(out).T

@@ -54,7 +54,6 @@ class TraceRow:
     # diagnostics beyond the emitted schema
     min_mass: float
     mass_sum: float
-    hess_rowsum_max: float
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,6 @@ def newton(mesh: Mesh, sites: SiteSet, opts: SolverOptions | None = None) -> Sol
                 k_value=dual.value(diagram, sites, psi),
                 min_mass=min_mass,
                 mass_sum=float(diagram.masses.sum()),
-                hess_rowsum_max=float(np.abs(h.row_sums()).max()),
             )
         )
         if opts.verbose:

@@ -95,15 +95,12 @@ def test_criterion_3_fd_hessian():
 
 def test_criterion_4_conservation(battery):
     worst_mass = 0.0
-    worst_row = 0.0
     for name, mesh, sites, report in battery:
         for row in report.trace:
             rel = abs(row.mass_sum - report.mu_total) / report.mu_total
             worst_mass = max(worst_mass, rel)
             assert rel <= 1e-10, name
-            worst_row = max(worst_row, row.hess_rowsum_max)
-            assert row.hess_rowsum_max <= 1e-10, name
-    announce(4, f"mass-sum error <= {worst_mass:.2e}, Hessian row sums <= {worst_row:.2e}")
+    announce(4, f"mass-sum error <= {worst_mass:.2e}")
 
 
 def test_criterion_5_damping_certificate(battery):

@@ -139,8 +139,11 @@ class TestMalformedInput:
     """Bad input ends in one ``error: <category>: <detail>`` line and exit status 1."""
 
     @pytest.mark.parametrize(
-        "text", ['{"psi": [0.25,', '["a", 0]', "[{}, 0]"],
-        ids=["truncated-json", "string-entry", "object-entry"],
+        "text",
+        ['{"psi": [0.25,', '["a", 0]', "[{}, 0]", '["0.25", "0"]', "[true, 0]", "[null, 0]",
+         f"[{10**400}, 0]"],
+        ids=["truncated-json", "string-entry", "object-entry", "numeric-string", "boolean",
+             "null", "huge-integer"],
     )
     def test_malformed_psi_is_a_parse_error(self, square_files, tmp_path, capsys, text):
         mesh_path, sites_path = square_files

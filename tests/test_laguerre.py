@@ -393,6 +393,10 @@ def _battery():
         rng.uniform(-0.02, 0.02, 30),
         id="collinear-spread-weights",
     )
+    # cocircular sites at equal weights lift onto one plane
+    angle = 2.0 * np.pi * np.arange(60) / 60
+    ring = 0.5 + 0.4 * np.column_stack([np.cos(angle), np.sin(angle)])
+    yield pytest.param(ring, np.zeros(60), id="ring-60")
 
 
 @pytest.mark.parametrize("positions, psi", _battery())
@@ -407,14 +411,27 @@ def test_build_matches_brute_force(unit_square, positions, psi):
     assert set(diag.interfaces) == keys
 
 
+UNIT_BOX = (0.0, 0.0, 1.0, 1.0)
+
+
 def test_collinear_sites_have_at_most_two_neighbours():
     x = np.linspace(0.001, 0.999, 400)
     positions = np.column_stack([x, np.full(400, 0.5)])
     rng = np.random.default_rng(400)
     for psi in (np.zeros(400), rng.uniform(-1e-3, 1e-3, 400)):
-        neighbors = laguerre._power_neighbors(positions, psi)
+        neighbors = laguerre._power_neighbors(positions, psi, UNIT_BOX)
         assert max(len(c) for c in neighbors if c is not None) <= 2
     assert any(c is None for c in neighbors)  # random weights hide sites
+
+
+def test_ring_sites_have_few_candidates():
+    # cocircular sites at equal weights lift onto one plane; each cell still
+    # gets a handful of candidates, not the n - 1 other sites
+    n = 2000
+    angle = 2.0 * np.pi * np.arange(n) / n
+    positions = 0.5 + 0.4 * np.column_stack([np.cos(angle), np.sin(angle)])
+    neighbors = laguerre._power_neighbors(positions, np.zeros(n), UNIT_BOX)
+    assert sum(len(c) for c in neighbors if c is not None) <= 6 * n
 
 
 def test_neighbour_keys_do_not_overflow_int32():
@@ -424,10 +441,15 @@ def test_neighbour_keys_do_not_overflow_int32():
     i, j = np.meshgrid(np.arange(k), np.arange(k), indexing="xy")
     corner = np.column_stack([i.ravel(), j.ravel()])
     positions = (corner + 0.25 + 0.5 * rng.random((k * k, 2))) / k
-    neighbors = laguerre._power_neighbors(positions, np.zeros(k * k))
+    neighbors = laguerre._power_neighbors(positions, np.zeros(k * k), UNIT_BOX)
     assert all(c is not None for c in neighbors)  # at psi = 0 every cell holds its site
     got = {(a, b) for a, c in enumerate(neighbors) for b in c if a < b}
-    # at psi = 0 the lower hull of the lifted sites projects to the Delaunay triangulation
+    # at psi = 0 the lower hull of the lifted sites projects to the Delaunay
+    # triangulation; the pairs are its edges but for some between two sites
+    # of the grid's outer ring, whose cells meet only outside the square
     tri = Delaunay(positions).simplices
     edges = np.sort(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
-    assert got == set(map(tuple, edges.tolist()))
+    edges = set(map(tuple, edges.tolist()))
+    outer = ((corner == 0) | (corner == k - 1)).any(axis=1)
+    assert got <= edges
+    assert {(a, b) for a, b in edges if not (outer[a] and outer[b])} <= got
