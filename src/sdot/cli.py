@@ -26,6 +26,7 @@ _PALETTE = [
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
     "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac", "#86bcb6", "#d37295",
 ]
+SVG_WIDTH = 640  # pixels; the height follows the mesh's aspect ratio
 
 
 def _f17(x: float) -> str:
@@ -88,21 +89,21 @@ def load_psi(path: str, n: int) -> np.ndarray:
     return psi
 
 
-def render_svg(diagram: laguerre.LaguerreDiagram, path: str, width: int = 640) -> None:
+def render_svg(diagram: laguerre.LaguerreDiagram, path: str) -> None:
     """Deterministic SVG: one path group per site, sites as small circles."""
     mesh = diagram.mesh
     x0, y0, x1, y1 = mesh.bbox
     margin = 0.02 * max(x1 - x0, y1 - y0)
     vw = (x1 - x0) + 2 * margin
     vh = (y1 - y0) + 2 * margin
-    height = max(1, round(width * vh / vw))
+    height = max(1, round(SVG_WIDTH * vh / vw))
 
     def fmt(v: float) -> str:
         return format(v, ".10g")
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{height}" '
         f'viewBox="{fmt(x0 - margin)} {fmt(y0 - margin)} {fmt(vw)} {fmt(vh)}">',
         # flip to the usual y-up orientation
         f'<g transform="translate(0 {fmt(y0 + y1)}) scale(1 -1)">',
@@ -276,11 +277,11 @@ def _cmd_check(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=float, default=solver.SolverOptions.tol,
                    help="gradient sup-norm tolerance relative to total mass")
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--max-halvings", type=int, default=40)
-    p.add_argument("--linear-tol", type=float, default=1e-12)
+    p.add_argument("--max-iter", type=int, default=solver.SolverOptions.max_iter)
+    p.add_argument("--max-halvings", type=int, default=solver.SolverOptions.max_halvings)
+    p.add_argument("--linear-tol", type=float, default=solver.SolverOptions.linear_tol)
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:

@@ -15,8 +15,7 @@ contributes the signed integral over the triangle from a fixed origin to
 arrays, is integrated by one vectorised call of :func:`fan_integrals`
 (the moment calculus of Steger 1996, *On the calculation of arbitrary
 moments of polygons*, with a quadrature in place of closed-form moments).
-A built diagram keeps polygon lists only in ``LaguerreDiagram.fragments`` and
-``.interfaces``, views of its arrays kept for the tests and the traced benchmark.
+Polygon lists exist only while ``laguerre.build`` runs; a diagram keeps arrays.
 """
 
 from __future__ import annotations

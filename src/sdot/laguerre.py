@@ -26,8 +26,8 @@ row pointing at the row of its end vertex.  Cell integrals (masses,
 transport cost, moments) are one :func:`geom.fan_integrals` call over all
 edges, each edge's triangle spanned from its fragment's first vertex, and
 one ``bincount`` by site; interface weights are one ``bincount`` over the
-edges whose label is a higher-indexed site.  ``fragments`` and ``interfaces``
-are object views of the arrays, kept for the tests and the traced benchmark.
+edges whose label is a higher-indexed site.  ``fragments`` and
+``interfaces`` are read-only index arrays, not per-fragment objects.
 """
 
 from __future__ import annotations
@@ -57,15 +57,7 @@ AREA_DROP_REL = 1e-14
 # edge label meaning "mesh/triangle boundary, not a bisector"
 BOUNDARY = -1
 
-Segment = tuple[Point, Point, tuple[float, float, float]]
-
-
-@dataclass(frozen=True)
-class CellFragment:
-    site: int
-    triangle: int
-    polygon: Polygon
-    density: tuple[float, float, float]  # affine (gx, gy, g0) on this triangle
+ASSIGN_CHUNK = 2**14  # rows of points per block in assign
 
 
 @dataclass(frozen=True)
@@ -76,8 +68,8 @@ class LaguerreDiagram:
     ``frag_tri[f]``, owns a run of consecutive rows.  Row ``e`` of the
     ``(E, 2)`` array ``xy`` starts edge ``e`` of fragment ``frag[e]``, which
     ends at row ``nxt[e]`` and has the site ``label[e]`` (or ``BOUNDARY``)
-    across it.  ``masses`` is computed on construction; ``fragments``,
-    ``interfaces`` and ``interface_weights`` are computed on first use.
+    across it.  ``masses`` is computed on construction, ``fragments`` and
+    ``interface_weights`` on first use.
     """
 
     mesh: Mesh
@@ -114,11 +106,12 @@ class LaguerreDiagram:
         )
         return np.bincount(site, vals, minlength=len(self.sites))
 
-    def _interface_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows of the edges recorded as interfaces, their sites and labels."""
-        site = self.frag_site[self.frag]
-        e = np.flatnonzero(self.label > site)  # the lower-indexed side's edges
-        return e, site[e], self.label[e]
+    @cached_property
+    def fragments(self) -> np.ndarray:
+        """Read-only ``(F, 2)`` ``(site, triangle)`` of each fragment, in build order."""
+        out = np.column_stack([self.frag_site, self.frag_tri])
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def interface_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,8 +121,9 @@ class LaguerreDiagram:
         rule, exact for the affine density) over ``2 |y_i - y_j|``.
         """
         n = len(self.sites)
-        e, j, k = self._interface_edges()
-        keys, pair_of = np.unique(j * n + k, return_inverse=True)
+        site = self.frag_site[self.frag]
+        e = np.flatnonzero(self.label > site)  # the lower-indexed side's edges
+        keys, pair_of = np.unique(site[e] * n + self.label[e], return_inverse=True)
         p = self.xy[e]
         q = self.xy[self.nxt[e]]
         gx, gy, g0 = self.mesh.tri_density[self.frag_tri[self.frag[e]]].T
@@ -139,30 +133,13 @@ class LaguerreDiagram:
         pairs = np.column_stack([keys // n, keys % n])
         d = self.sites.positions[pairs[:, 1]] - self.sites.positions[pairs[:, 0]]
         weights = np.bincount(pair_of, seg, minlength=len(keys))
+        pairs.setflags(write=False)
         return pairs, weights / (2.0 * np.hypot(d[:, 0], d[:, 1]))
 
-    @cached_property
-    def fragments(self) -> list[CellFragment]:
-        """The fragments as ``CellFragment`` objects, in build order."""
-        pts = [tuple(p) for p in self.xy.tolist()]
-        rho = [tuple(r) for r in self.mesh.tri_density.tolist()]
-        b = self.frag_bounds().tolist()
-        return [
-            CellFragment(j, t, pts[b[f] : b[f + 1]], rho[t])
-            for f, (j, t) in enumerate(zip(self.frag_site.tolist(), self.frag_tri.tolist()))
-        ]
-
-    @cached_property
-    def interfaces(self) -> dict[tuple[int, int], list[Segment]]:
-        """Segments ``(p, q, density)`` of each adjacent pair ``(i, j)``, ``i < j``."""
-        pts = [tuple(p) for p in self.xy.tolist()]
-        rho = [tuple(r) for r in self.mesh.tri_density.tolist()]
-        e, j, k = self._interface_edges()
-        t = self.frag_tri[self.frag[e]]
-        out: dict[tuple[int, int], list[Segment]] = {}
-        for a, b, lo, hi, tri in zip(*(v.tolist() for v in (e, self.nxt[e], j, k, t))):
-            out.setdefault((lo, hi), []).append((pts[a], pts[b], rho[tri]))
-        return out
+    @property
+    def interfaces(self) -> np.ndarray:
+        """Read-only sorted ``(m, 2)`` adjacent pairs ``i < j``: ``interface_weights[0]``."""
+        return self.interface_weights[0]
 
 
 def bisector(y_i: Point, psi_i: float, y_j: Point, psi_j: float) -> HalfPlane:
@@ -349,9 +326,7 @@ def _relabel_boundary_edges(poly, labels, cuts):
     return out
 
 
-def assign(
-    points: np.ndarray, sites: SiteSet, psi, chunk: int | None = None
-) -> np.ndarray:
+def assign(points: np.ndarray, sites: SiteSet, psi) -> np.ndarray:
     """Classify points by power-distance argmin (ties to the lower index).
 
     Lifting site j to ``(y_j, sqrt(max psi - psi_j))`` and a point x to
@@ -363,8 +338,7 @@ def assign(
     whose k-th lifted distance is not clearly above its best candidate's
     could have its argmin outside the candidates; such rows take the dense
     argmin, so the result equals the dense one bit for bit.  Points go
-    through in blocks of ``chunk`` rows, by default 2**14, so a block's
-    temporaries hold about 2**17 floats (1 MB).
+    through in blocks of ``ASSIGN_CHUNK`` rows (about 1 MB of temporaries).
     """
     psi = _checked_psi(psi, len(sites))
     pts = np.asarray(points, dtype=float)
@@ -375,8 +349,6 @@ def assign(
     out = np.empty(len(pts), dtype=np.int64)
     if not len(pts):
         return out
-    if chunk is None:
-        chunk = 2**14
     k = min(4, n)
     top = float(psi.max())
     tree = cKDTree(np.column_stack([pos, np.sqrt(top - psi)]))
@@ -387,8 +359,8 @@ def assign(
     # and of best + max psi under a large gauge offset
     eps = np.finfo(float).eps
     margin = 1e-9 * (float(np.ptp(psi)) + diag2 + 1.0) + 16 * eps * float(np.abs(psi).max())
-    for lo in range(0, len(pts), chunk):
-        block = pts[lo : lo + chunk]
+    for lo in range(0, len(pts), ASSIGN_CHUNK):
+        block = pts[lo : lo + ASSIGN_CHUNK]
         m = len(block)
         dist, cand = tree.query(np.column_stack([block, np.zeros(m)]), k=k)
         cand = np.sort(cand.reshape(m, k), axis=1)  # ties go to the lower index

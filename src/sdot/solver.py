@@ -72,7 +72,8 @@ class SolveReport:
     diagram: laguerre.LaguerreDiagram = field(repr=False)
 
 
-def solve_gauge_fixed(h: dual.SparseHessian, g: np.ndarray, linear_tol: float = 1e-12) -> np.ndarray:
+def solve_gauge_fixed(h: dual.SparseHessian, g: np.ndarray,
+                      linear_tol: float = SolverOptions.linear_tol) -> np.ndarray:
     """Newton direction: solve ``(-H) d = g`` with the pinned component zeroed.
 
     The pinned (last) row and column are removed; the reduced matrix is SPD

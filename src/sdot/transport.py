@@ -21,8 +21,8 @@ from .errors import ValidationError
 @dataclass(frozen=True)
 class InterpolationFrame:
     t: float
-    points: np.ndarray  # (n, 2)
-    source_site: np.ndarray  # (n,) site index per point
+    points: np.ndarray  # (n, 2), read-only
+    source_site: np.ndarray  # (n,) site index per point, read-only, shared by all frames
 
 
 def wasserstein2(diagram: laguerre.LaguerreDiagram, sites: SiteSet) -> float:
@@ -65,8 +65,10 @@ def interpolate(
     pts = domain.sample(mesh, n, seed)
     site_of = laguerre.assign(pts, sites, psi)
     targets = sites.positions[site_of]
+    site_of.setflags(write=False)
     frames = []
     for t in times:
         where = pts if t == 0.0 else (targets if t == 1.0 else (1.0 - t) * pts + t * targets)
-        frames.append(InterpolationFrame(t=t, points=where.copy(), source_site=site_of.copy()))
+        where.setflags(write=False)
+        frames.append(InterpolationFrame(t=t, points=where, source_site=site_of))
     return frames

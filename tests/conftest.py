@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,41 @@ def interface_weight(diag, i, j):
     pairs, weights = diag.interface_weights
     hit = weights[(pairs == (min(i, j), max(i, j))).all(axis=1)]
     return float(hit[0]) if hit.size else 0.0
+
+
+class Fragment(NamedTuple):
+    site: int
+    triangle: int
+    polygon: list  # CCW (x, y) tuples
+    density: tuple  # affine (gx, gy, g0) on the triangle
+
+
+def fragments(diag):
+    """The diagram's fragments as ``Fragment`` tuples, in build order."""
+    pts = [tuple(p) for p in diag.xy.tolist()]
+    rho = [tuple(r) for r in diag.mesh.tri_density.tolist()]
+    b = diag.frag_bounds().tolist()
+    return [
+        Fragment(j, t, pts[b[f] : b[f + 1]], rho[t])
+        for f, (j, t) in enumerate(diag.fragments.tolist())
+    ]
+
+
+def interfaces(diag):
+    """Segments ``(p, q, density)`` of each adjacent pair ``(i, j)``, ``i < j``.
+
+    Read from the edges whose label is a higher-indexed site, independently
+    of ``diag.interface_weights``.
+    """
+    pts = [tuple(p) for p in diag.xy.tolist()]
+    rho = [tuple(r) for r in diag.mesh.tri_density.tolist()]
+    site = diag.frag_site[diag.frag]
+    e = np.flatnonzero(diag.label > site)
+    cols = (e, diag.nxt[e], site[e], diag.label[e], diag.frag_tri[diag.frag[e]])
+    out = {}
+    for a, b, lo, hi, tri in zip(*(v.tolist() for v in cols)):
+        out.setdefault((lo, hi), []).append((pts[a], pts[b], rho[tri]))
+    return out
 
 
 def polygon_contains(poly, p, tol=0.0):

@@ -13,7 +13,7 @@ import pytest
 
 from sdot import domain, dual, laguerre, oracle, solver, transport
 
-from conftest import polygon_contains, random_problem
+from conftest import fragments, interfaces, polygon_contains, random_problem
 from lp_oracle import DiscreteProblem, grid_discretization, solve_discrete_lp
 
 ANALYTIC_W2_SQ = 13 / 96
@@ -132,7 +132,7 @@ def test_criterion_6_gauge_and_symmetry():
     b = transport.barycenters(diag)
     assert abs(b[0, 0] - (1.0 - b[1, 0])) <= 1e-12
     assert abs(b[0, 1] - b[1, 1]) <= 1e-12
-    for p, q, _ in diag.interfaces[(0, 1)]:
+    for p, q, _ in interfaces(diag)[(0, 1)]:
         assert abs(p[0] - 0.5) <= 1e-12 and abs(q[0] - 0.5) <= 1e-12
     announce(6, f"gauge mass drift {gauge_err:.2e}, mirror symmetry at 1e-12")
 
@@ -204,7 +204,7 @@ def test_criterion_10_voronoi_reduction():
     clear = dist_to_bisector > 1e-9
 
     frags_by_site = {}
-    for f in diag.fragments:
+    for f in fragments(diag):
         frags_by_site.setdefault(f.site, []).append(f.polygon)
     tol = 1e-9 * mesh.bbox_diameter
     agree = sum(

@@ -3,7 +3,7 @@ import pytest
 
 from sdot import domain, dual, laguerre, oracle
 
-from conftest import interface_weight, random_problem
+from conftest import interface_weight, interfaces, random_problem
 
 
 def build_at(mesh, sites, psi):
@@ -93,7 +93,8 @@ class TestHessian:
         h = dual.hessian(diag, sites)
         ref = np.zeros((20, 20))
         off = np.zeros(20)
-        for i, j in sorted(diag.interfaces):
+        segments_of = interfaces(diag)
+        for i, j in sorted(segments_of):
             w = interface_weight(diag, i, j)
             ref[i, j] = ref[j, i] = w
             off[i] += w
@@ -101,7 +102,7 @@ class TestHessian:
         ref[np.diag_indices(20)] = -off
         assert np.array_equal(h.diag, -off)
         assert np.array_equal(h.as_dense(), ref)
-        assert len(h.pairs) == len(diag.interfaces)
+        assert len(h.pairs) == len(segments_of)
 
     @pytest.mark.parametrize("pin", [0, 7, 14])
     def test_neg_reduced_deletes_the_pinned_row_and_column(self, pin):

@@ -8,7 +8,7 @@ from sdot import domain, laguerre
 from sdot.errors import ValidationError
 from sdot.geom import MERGE_REL, area, clip_labeled
 
-from conftest import interface_weight, polygon_contains, random_problem
+from conftest import fragments, interface_weight, interfaces, polygon_contains, random_problem
 
 
 def halfplane_contains(h, p):
@@ -59,25 +59,29 @@ class TestBuild:
         sites = domain.make_sites([[0.3, 0.6]], [1.0], 1.0)
         diag = laguerre.build(unit_square, sites, [5.0])
         assert diag.masses == pytest.approx([unit_square.total_mass], abs=1e-14)
-        assert sum(area(f.polygon) for f in diag.fragments) == pytest.approx(1.0, abs=1e-13)
-        assert diag.interfaces == {}
+        assert sum(area(f.polygon) for f in fragments(diag)) == pytest.approx(1.0, abs=1e-13)
+        assert interfaces(diag) == {}
 
     def test_symmetric_pair(self, unit_square):
         sites = domain.make_sites([[0.25, 0.5], [0.75, 0.5]], [0.5, 0.5], 1.0)
         diag = laguerre.build(unit_square, sites, np.zeros(2))
         assert diag.masses == pytest.approx([0.5, 0.5], abs=1e-14)
-        segments = diag.interfaces[(0, 1)]
+        segments = interfaces(diag)[(0, 1)]
         length = sum(math.hypot(q[0] - p[0], q[1] - p[1]) for p, q, _ in segments)
         assert length == pytest.approx(1.0, abs=1e-12)
         for p, q, _ in segments:
             assert p[0] == pytest.approx(0.5, abs=1e-12)
             assert q[0] == pytest.approx(0.5, abs=1e-12)
+        # each half of the square meets both triangles
+        assert sorted(map(tuple, diag.fragments.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert diag.interfaces.tolist() == [[0, 1]]
+        assert not diag.fragments.flags.writeable and not diag.interfaces.flags.writeable
 
     def test_weighted_pair_moves_interface(self, analytic_two_site):
         mesh, sites = analytic_two_site
         diag = laguerre.build(mesh, sites, [0.25, 0.0])
         assert diag.masses == pytest.approx([0.75, 0.25], abs=1e-14)
-        for p, q, _ in diag.interfaces[(0, 1)]:
+        for p, q, _ in interfaces(diag)[(0, 1)]:
             assert p[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_interface_on_mesh_edge_is_recovered(self):
@@ -150,7 +154,7 @@ class TestDiagramProperties:
         clear = diff > 1e-9 * 2 * min_gap
 
         frags_by_site = {}
-        for f in diag.fragments:
+        for f in fragments(diag):
             frags_by_site.setdefault(f.site, []).append(f.polygon)
         agree = 0
         total = 0
@@ -167,8 +171,9 @@ class TestDiagramProperties:
         psi = rng.uniform(-0.05, 0.05, 8)
         d1 = laguerre.build(mesh, sites, psi)
         d2 = laguerre.build(mesh, sites, psi + 10.0)
-        assert len(d1.fragments) == len(d2.fragments)
-        for f1, f2 in zip(d1.fragments, d2.fragments):
+        f1s, f2s = fragments(d1), fragments(d2)
+        assert len(f1s) == len(f2s)
+        for f1, f2 in zip(f1s, f2s):
             assert (f1.site, f1.triangle) == (f2.site, f2.triangle)
             assert len(f1.polygon) == len(f2.polygon)
             for p, q in zip(f1.polygon, f2.polygon):
@@ -181,7 +186,7 @@ class TestDiagramProperties:
         diag = laguerre.build(mesh, sites, psi)
 
         per_tri = np.zeros(len(mesh.triangles))
-        for f in diag.fragments:
+        for f in fragments(diag):
             per_tri[f.triangle] += area(f.polygon)
         assert per_tri == pytest.approx(mesh.tri_areas, rel=1e-10)
         assert diag.masses.sum() == pytest.approx(mesh.total_mass, rel=1e-10)
@@ -202,8 +207,9 @@ class TestDiagramProperties:
         rng = np.random.default_rng(53)
         psi = rng.uniform(-0.03, 0.03, 14)
         diag = laguerre.build(mesh, sites, psi)
-        assert diag.interfaces  # adjacency exists on this instance
-        for (i, j), segments in diag.interfaces.items():
+        segments_of = interfaces(diag)
+        assert segments_of  # adjacency exists on this instance
+        for (i, j), segments in segments_of.items():
             h = laguerre.bisector(
                 tuple(sites.positions[i]), psi[i], tuple(sites.positions[j]), psi[j]
             )
@@ -222,7 +228,7 @@ class TestDiagramProperties:
         )
         diag = laguerre.build(mesh, sites, np.array([0.01, 0.0]))
         assert diag.masses.sum() == pytest.approx(mesh.total_mass, rel=1e-12)
-        per_area = sum(area(f.polygon) for f in diag.fragments)
+        per_area = sum(area(f.polygon) for f in fragments(diag))
         assert per_area == pytest.approx(float(mesh.tri_areas[0]), rel=1e-12)
 
 
@@ -292,12 +298,13 @@ class TestAssign:
             assert np.array_equal(got, dense_argmin(pts, sites.positions, psi))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_fewer_sites_than_candidates(self, n):
+    def test_fewer_sites_than_candidates(self, n, monkeypatch):
+        monkeypatch.setattr(laguerre, "ASSIGN_CHUNK", 700)
         rng = np.random.default_rng(n)
         sites = domain.make_sites(rng.random((n, 2)), np.full(n, 1 / n), 1.0)
         psi = rng.uniform(-0.1, 0.1, n)
         pts = rng.uniform(-1.0, 2.0, (3000, 2))
-        got = laguerre.assign(pts, sites, psi, chunk=700)
+        got = laguerre.assign(pts, sites, psi)
         assert np.array_equal(got, dense_argmin(pts, sites.positions, psi))
 
     def test_points_outside_site_hull(self):
@@ -318,23 +325,25 @@ class TestAssign:
         with pytest.raises(ValidationError, match="non-finite point"):
             laguerre.assign(np.array([[0.5, np.inf]]), sites, [0.0, 0.0])
 
-    def test_matches_bruteforce(self):
+    def test_matches_bruteforce(self, monkeypatch):
+        monkeypatch.setattr(laguerre, "ASSIGN_CHUNK", 64)
         mesh, sites = random_problem(7, seed=2)
         rng = np.random.default_rng(0)
         psi = rng.uniform(-0.1, 0.1, 7)
         pts = rng.random((500, 2))
-        got = laguerre.assign(pts, sites, psi, chunk=64)
+        got = laguerre.assign(pts, sites, psi)
         d2 = ((pts[:, None, :] - sites.positions[None, :, :]) ** 2).sum(axis=2) - psi
         assert np.array_equal(got, np.argmin(d2, axis=1))
 
-    def test_chunking_does_not_change_output(self):
+    def test_chunking_does_not_change_output(self, monkeypatch):
         mesh, sites = random_problem(300, seed=6)
         rng = np.random.default_rng(7)
         psi = rng.uniform(-0.01, 0.01, 300)
         pts = rng.random((2000, 2))
         got = laguerre.assign(pts, sites, psi)
-        assert np.array_equal(got, laguerre.assign(pts, sites, psi, chunk=1))
-        assert np.array_equal(got, laguerre.assign(pts, sites, psi, chunk=len(pts)))
+        for chunk in (1, len(pts)):
+            monkeypatch.setattr(laguerre, "ASSIGN_CHUNK", chunk)
+            assert np.array_equal(got, laguerre.assign(pts, sites, psi))
 
 
 def reference_cells(mesh, sites, psi):
@@ -397,6 +406,13 @@ def _battery():
     angle = 2.0 * np.pi * np.arange(60) / 60
     ring = 0.5 + 0.4 * np.column_stack([np.cos(angle), np.sin(angle)])
     yield pytest.param(ring, np.zeros(60), id="ring-60")
+    # mirror pairs about y = x, the unit square's diagonal mesh edge: their
+    # bisectors run along it, the case _relabel_boundary_edges is written for
+    pts = np.random.default_rng(7).random((40, 2))
+    below = pts[pts[:, 1] < pts[:, 0] - 0.02][:10]
+    yield pytest.param(
+        np.vstack([below, below[:, ::-1]]), np.zeros(20), id="mirrored-diagonal"
+    )
 
 
 @pytest.mark.parametrize("positions, psi", _battery())
@@ -408,7 +424,7 @@ def test_build_matches_brute_force(unit_square, positions, psi):
     cells = reference_cells(unit_square, sites, psi)
     assert diag.masses == pytest.approx([area(poly) for poly, _ in cells], abs=1e-12)
     keys = {(j, k) for j, (_, labels) in enumerate(cells) for k in labels if k > j}
-    assert set(diag.interfaces) == keys
+    assert set(map(tuple, diag.interfaces.tolist())) == keys
 
 
 UNIT_BOX = (0.0, 0.0, 1.0, 1.0)

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from sdot import domain, dual, laguerre
 from sdot.geom import MERGE_REL, area
 
+from conftest import fragments, interfaces
+
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
@@ -57,10 +59,10 @@ property_settings = settings(
 )
 
 
-def trapezoid_weight(diag, i, j):
-    """Scalar reference for the Hessian weight of the pair ``(i, j)``."""
+def trapezoid_weight(diag, segments, i, j):
+    """Scalar reference for the Hessian weight of the pair ``(i, j)`` from its segments."""
     total = 0.0
-    for p, q, (gx, gy, g0) in diag.interfaces[(i, j)]:
+    for p, q, (gx, gy, g0) in segments:
         fp = gx * p[0] + gy * p[1] + g0
         fq = gx * q[0] + gy * q[1] + g0
         total += math.hypot(q[0] - p[0], q[1] - p[1]) * 0.5 * (fp + fq)
@@ -82,7 +84,7 @@ def test_fragment_areas_partition_the_triangles(problem):
     mesh, sites, psi = problem
     diag = laguerre.build(mesh, sites, psi)
     per_tri = np.zeros(len(mesh.triangles))
-    for f in diag.fragments:
+    for f in fragments(diag):
         per_tri[f.triangle] += area(f.polygon)
     assert np.abs(per_tri - mesh.tri_areas).max() <= 1e-12 * mesh.tri_areas.max()
 
@@ -93,8 +95,9 @@ def test_interface_weights_match_the_trapezoid_reference(problem):
     mesh, sites, psi = problem
     diag = laguerre.build(mesh, sites, psi)
     h = dual.hessian(diag, sites)
-    assert [tuple(p) for p in h.pairs.tolist()] == sorted(diag.interfaces)
-    ref = np.array([trapezoid_weight(diag, i, j) for i, j in h.pairs.tolist()])
+    segments_of = interfaces(diag)
+    assert [tuple(p) for p in h.pairs.tolist()] == sorted(segments_of)
+    ref = np.array([trapezoid_weight(diag, segments_of[i, j], i, j) for i, j in h.pairs.tolist()])
     assert np.all(np.abs(h.weights - ref) <= 1e-12 * np.abs(ref))
 
 
@@ -158,6 +161,6 @@ def test_cells_partition_a_non_convex_domain(problem):
     diag = laguerre.build(mesh, sites, psi)
     assert abs(diag.masses.sum() - mesh.total_mass) <= 1e-12 * mesh.total_mass
     per_tri = np.zeros(len(mesh.triangles))
-    for f in diag.fragments:
+    for f in fragments(diag):
         per_tri[f.triangle] += area(f.polygon)
     assert np.abs(per_tri - mesh.tri_areas).max() <= 1e-12 * mesh.tri_areas.sum()

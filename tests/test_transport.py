@@ -6,7 +6,7 @@ import pytest
 from sdot import domain, laguerre, solver, transport
 from sdot.errors import ValidationError
 
-from conftest import random_problem
+from conftest import fragments, random_problem
 
 
 class TestWasserstein2:
@@ -54,7 +54,7 @@ class TestWasserstein2:
                 lambda x, y: ((x - 0.9) ** 2 + (y - 0.5) ** 2) * (gx * x + gy * y + g0),
             ).sum()
 
-        expected = sum(cost(f) for f in diag.fragments if f.density != (0.0, 0.0, 0.0))
+        expected = sum(cost(f) for f in fragments(diag) if f.density != (0.0, 0.0, 0.0))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_gauge_invariant(self, analytic_two_site):
@@ -113,6 +113,8 @@ class TestInterpolate:
         assert np.array_equal(
             frames[1].points, sites.positions[frames[1].source_site]
         )
+        assert frames[0].source_site is frames[1].source_site
+        assert not any(a.flags.writeable for f in frames for a in (f.points, f.source_site))
 
     def test_midpoint_split_fraction(self, analytic_two_site):
         mesh, sites = analytic_two_site
