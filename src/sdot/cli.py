@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import domain, dual, laguerre, oracle, solver, transport
-from .domain import _atomic_write
+from .domain import _atomic_write, _format_rows
 from .errors import FormatError, SdotError, SolverError, ValidationError
 
 # fixed 12-color palette for cell fills
@@ -131,23 +131,15 @@ def render_svg(diagram: laguerre.LaguerreDiagram, path: str) -> None:
 
 
 def write_frames(frames, out_dir: str) -> list[str]:
-    """Write ``frame_<i>.csv`` per frame: header ``t,x,y,site``, 17-digit reals.
-
-    Each file is formatted in one ``%`` pass over the interleaved x, y and
-    site columns.
-    """
+    """Write ``frame_<i>.csv`` per frame: header ``t,x,y,site``, 17-digit reals."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for idx, frame in enumerate(frames):
-        pts = np.asarray(frame.points, dtype=float)
-        n = len(pts)
-        vals = [None] * (3 * n)
-        vals[0::3] = pts[:, 0].tolist()
-        vals[1::3] = pts[:, 1].tolist()
-        vals[2::3] = np.asarray(frame.source_site).tolist()
-        row = _f17(frame.t) + ",%.17g,%.17g,%d\n"
+        x, y = np.asarray(frame.points, dtype=float).T
+        fmt = _f17(frame.t) + ",%.17g,%.17g,%d\n"
         path = os.path.join(out_dir, f"frame_{idx}.csv")
-        _atomic_write(path, "t,x,y,site\n" + (row * n) % tuple(vals))
+        # no name holds the text, so it is freed before the next frame is formatted
+        _atomic_write(path, "t,x,y,site\n" + _format_rows(fmt, x, y, frame.source_site))
         paths.append(path)
     return paths
 
@@ -168,23 +160,20 @@ def _load_problem(args):
     return mesh, sites
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
     mesh, sites = _load_problem(args)
     report = solver.newton(mesh, sites, _solver_options(args))
     emit_report(report, args.out)
     if args.svg:
         render_svg(report.diagram, args.svg)
     if not report.converged:
-        print(
-            f"error: solver: not converged after {report.iterations} iterations "
-            f"(|g| = {report.grad_norm:.3e})",
-            file=sys.stderr,
+        raise SolverError(
+            f"not converged after {report.iterations} iterations "
+            f"(|g| = {report.grad_norm:.3e})"
         )
-        return 2
-    return 0
 
 
-def _cmd_distance(args) -> int:
+def _cmd_distance(args) -> None:
     mesh, sites = _load_problem(args)
     if args.psi:
         psi = load_psi(args.psi, len(sites))
@@ -195,14 +184,12 @@ def _cmd_distance(args) -> int:
         if args.out:
             emit_report(report, args.out)
         if not report.converged:
-            print("error: solver: not converged; no distance reported", file=sys.stderr)
-            return 2
+            raise SolverError("not converged; no distance reported")
         w2 = report.w2
     print(_f17(w2))
-    return 0
 
 
-def _cmd_diagram(args) -> int:
+def _cmd_diagram(args) -> None:
     mesh, sites = _load_problem(args)
     psi = load_psi(args.psi, len(sites)) if args.psi else np.zeros(len(sites))
     diagram = laguerre.build(mesh, sites, psi)
@@ -213,18 +200,16 @@ def _cmd_diagram(args) -> int:
             "masses": [float(v) for v in diagram.masses],
         }
         _atomic_write(args.out, _json_text(payload) + "\n")
-    return 0
 
 
-def _cmd_interpolate(args) -> int:
+def _cmd_interpolate(args) -> None:
     mesh, sites = _load_problem(args)
     if args.psi:
         psi = load_psi(args.psi, len(sites))
     else:
         report = solver.newton(mesh, sites, _solver_options(args))
         if not report.converged:
-            print("error: solver: not converged; refusing to interpolate", file=sys.stderr)
-            return 2
+            raise SolverError("not converged; refusing to interpolate")
         psi = report.psi
     try:
         times = [float(s) for s in args.times.split(",") if s.strip()]
@@ -232,15 +217,13 @@ def _cmd_interpolate(args) -> int:
         raise ValidationError(f"--times: {exc}") from None
     frames = transport.interpolate(mesh, sites, psi, args.n, times, args.seed)
     write_frames(frames, args.out_dir)
-    return 0
 
 
-def _cmd_make_mesh(args) -> int:
+def _cmd_make_mesh(args) -> None:
     domain.save_mesh(domain.square_mesh(args.square, args.density), args.out)
-    return 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> None:
     """Self-diagnostic on a built-in instance: derivatives and mass budget."""
     mesh = domain.square_mesh(2, "const:1")
     rng = np.random.default_rng(20240611)
@@ -253,7 +236,7 @@ def _cmd_check(args) -> int:
     ok = True
 
     g = dual.gradient(diagram, sites)
-    fd = oracle.fd_gradient(mesh, sites, psi, h=1e-6)
+    fd = oracle.fd_gradient(mesh, sites, psi)
     err = float(np.abs(g - fd).max())
     ok &= err <= 1e-5
     print(f"check: finite-difference gradient max error {err:.3e} (limit 1e-05)")
@@ -270,10 +253,8 @@ def _cmd_check(args) -> int:
     print(f"check: total mass conservation relative error {mass_rel:.3e} (limit 1e-10)")
 
     if not ok:
-        print("error: validation: self-check failed", file=sys.stderr)
-        return 1
+        raise ValidationError("self-check failed")
     print("check: ok")
-    return 0
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -347,16 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SolverError as exc:
-        print(f"error: {exc.category}: {exc}", file=sys.stderr)
-        return 2
+        args.func(args)
     except SdotError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, SolverError) else 1
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

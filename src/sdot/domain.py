@@ -8,10 +8,12 @@ are cached.
 
 File formats:
 
-* mesh (``.dmesh``, ASCII): line 1 ``nv nt``; then ``nv`` lines ``x y rho``;
-  then ``nt`` lines ``i j k`` (0-based vertex indices). ``#`` starts a
-  comment line.
+* mesh (``.dmesh``, ASCII): line 1 ``nv nt``, two nonnegative counts; then
+  ``nv`` lines ``x y rho``; then ``nt`` lines ``i j k`` (0-based vertex
+  indices). ``#`` starts a comment line.
 * sites (CSV): header ``x,y,nu`` then one row per site.
+
+A malformed file raises ``FormatError`` naming its path and line.
 """
 
 from __future__ import annotations
@@ -134,6 +136,31 @@ def make_mesh(vertices, densities, triangles) -> Mesh:
     return mesh
 
 
+def _read_rows(path, rows, dtype, columns: str, bad: str) -> np.ndarray:
+    """Parse ``(lineno, fields)`` rows of three fields into a ``(k, 3)`` array.
+
+    A row with another field count fails as ``expected <columns>``, a field
+    that is no number of the dtype's kind as ``bad``, an integer beyond its
+    range as out of range; each error names the row's line.
+    """
+    parse = int if np.issubdtype(dtype, np.integer) else float
+    linenos, vals = [], []
+    for lineno, fields in rows:
+        if len(fields) != 3:
+            raise FormatError(f"{path}:{lineno}: expected {columns}")
+        try:
+            vals.append(tuple(map(parse, fields)))
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: {bad}") from None
+        linenos.append(lineno)
+    try:
+        return np.array(vals, dtype=dtype).reshape(-1, 3)
+    except OverflowError:
+        info = np.iinfo(dtype)
+        i = next(i for i, v in enumerate(vals) if min(v) < info.min or max(v) > info.max)
+        raise FormatError(f"{path}:{linenos[i]}: value out of range for {info.dtype}") from None
+
+
 def load_mesh(path) -> Mesh:
     """Parse and validate a ``.dmesh`` file."""
     rows = []
@@ -157,29 +184,12 @@ def load_mesh(path) -> Mesh:
         raise FormatError(
             f"{path}:{lineno}: header promises {nv}+{nt} rows, file has {len(rows) - 1}"
         )
+    if nv < 0 or nt < 0:
+        raise FormatError(f"{path}:{lineno}: negative count in header")
 
-    vertices = np.empty((nv, 2))
-    densities = np.empty(nv)
-    for i in range(nv):
-        lineno, cols = rows[1 + i]
-        if len(cols) != 3:
-            raise FormatError(f"{path}:{lineno}: expected 'x y rho'")
-        try:
-            vertices[i, 0], vertices[i, 1], densities[i] = map(float, cols)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-numeric vertex row") from None
-
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        lineno, cols = rows[1 + nv + i]
-        if len(cols) != 3:
-            raise FormatError(f"{path}:{lineno}: expected 'i j k'")
-        try:
-            triangles[i] = [int(c) for c in cols]
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-integer triangle row") from None
-
-    return make_mesh(vertices, densities, triangles)
+    table = _read_rows(path, rows[1 : 1 + nv], float, "'x y rho'", "non-numeric vertex row")
+    triangles = _read_rows(path, rows[1 + nv :], np.int64, "'i j k'", "non-integer triangle row")
+    return make_mesh(table[:, :2].copy(), table[:, 2].copy(), triangles)
 
 
 def _atomic_write(path, data: str) -> None:
@@ -196,14 +206,24 @@ def _atomic_write(path, data: str) -> None:
         raise
 
 
+def _format_rows(fmt: str, *columns) -> str:
+    """``fmt`` once per row of the equal-length ``columns``, in one ``%`` pass.
+
+    ``fmt`` holds one conversion per column and ends in a newline.
+    """
+    k, n = len(columns), len(columns[0])
+    vals = [None] * (k * n)
+    for c, col in enumerate(columns):
+        vals[c::k] = np.asarray(col).tolist()
+    return (fmt * n) % tuple(vals)
+
+
 def save_mesh(mesh: Mesh, path) -> None:
     """Write a mesh in the ``.dmesh`` format with full-precision reals, atomically."""
-    lines = [f"{len(mesh.vertices)} {len(mesh.triangles)}"]
-    for (x, y), rho in zip(mesh.vertices, mesh.densities):
-        lines.append(f"{x:.17g} {y:.17g} {rho:.17g}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"{i} {j} {k}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    v = mesh.vertices
+    head = f"{len(v)} {len(mesh.triangles)}\n"
+    verts = _format_rows("%.17g %.17g %.17g\n", v[:, 0], v[:, 1], mesh.densities)
+    _atomic_write(path, head + verts + _format_rows("%d %d %d\n", *mesh.triangles.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,8 +287,6 @@ def make_sites(positions, masses, mesh_mass: float, normalize: bool = False) -> 
 
 def load_sites(path, mesh_mass: float, normalize: bool = False) -> SiteSet:
     """Parse a sites CSV (header ``x,y,nu``) and validate against the mesh."""
-    positions = []
-    masses = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -277,28 +295,22 @@ def load_sites(path, mesh_mass: float, normalize: bool = False) -> SiteSet:
             raise FormatError(f"{path}:1: empty sites file") from None
         if [h.strip().lower() for h in header] != ["x", "y", "nu"]:
             raise FormatError(f"{path}:1: expected header 'x,y,nu'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                x, y, nu = (float(c) for c in row)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric value") from None
-            positions.append((x, y))
-            masses.append(nu)
-    if not positions:
+        rows = (
+            (lineno, row)
+            for lineno, row in enumerate(reader, start=2)
+            if row and not (len(row) == 1 and not row[0].strip())
+        )
+        table = _read_rows(path, rows, float, "3 columns", "non-numeric value")
+    if not len(table):
         raise FormatError(f"{path}: no site rows")
-    return make_sites(np.array(positions), np.array(masses), mesh_mass, normalize)
+    return make_sites(table[:, :2].copy(), table[:, 2].copy(), mesh_mass, normalize)
 
 
 def save_sites(sites: SiteSet, path) -> None:
     """Write sites as ``x,y,nu`` CSV with full-precision reals, atomically."""
-    lines = ["x,y,nu"]
-    for (x, y), nu in zip(sites.positions, sites.masses):
-        lines.append(f"{x:.17g},{y:.17g},{nu:.17g}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    p = sites.positions
+    rows = _format_rows("%.17g,%.17g,%.17g\n", p[:, 0], p[:, 1], sites.masses)
+    _atomic_write(path, "x,y,nu\n" + rows)
 
 
 def sample(mesh: Mesh, n: int, seed: int) -> np.ndarray:

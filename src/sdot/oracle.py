@@ -14,6 +14,9 @@ from . import domain, dual, laguerre
 from .domain import Mesh, SiteSet
 from .errors import ValidationError
 
+FD_GRADIENT_STEP = 1e-6
+FD_HESSIAN_STEP = 1e-5
+
 
 def mc_masses(
     mesh: Mesh, sites: SiteSet, psi, n: int, seed: int
@@ -33,14 +36,18 @@ def mc_masses(
     return p * mu, mu * np.sqrt(p * (1.0 - p) / n)
 
 
-def fd_gradient(mesh: Mesh, sites: SiteSet, psi, h: float = 1e-6) -> np.ndarray:
+def fd_gradient(mesh: Mesh, sites: SiteSet, psi) -> np.ndarray:
     """Central differences of the dual value, one coordinate at a time."""
-    return _central_differences(mesh, sites, psi, h, lambda d, p: dual.value(d, sites, p))
+    return _central_differences(
+        mesh, sites, psi, FD_GRADIENT_STEP, lambda d, p: dual.value(d, sites, p)
+    )
 
 
-def fd_hessian(mesh: Mesh, sites: SiteSet, psi, h: float = 1e-5) -> np.ndarray:
+def fd_hessian(mesh: Mesh, sites: SiteSet, psi) -> np.ndarray:
     """Central differences of the analytic gradient, column by column."""
-    return _central_differences(mesh, sites, psi, h, lambda d, p: dual.gradient(d, sites))
+    return _central_differences(
+        mesh, sites, psi, FD_HESSIAN_STEP, lambda d, p: dual.gradient(d, sites)
+    )
 
 
 def _central_differences(mesh: Mesh, sites: SiteSet, psi, h: float, f) -> np.ndarray:
@@ -48,8 +55,6 @@ def _central_differences(mesh: Mesh, sites: SiteSet, psi, h: float, f) -> np.nda
 
     ``f(diagram, p)`` is evaluated on the diagram built at the weights ``p``.
     """
-    if h <= 0:
-        raise ValidationError("step must be positive")
     psi = np.asarray(psi, dtype=float)
     out = []
     for j in range(len(sites)):

@@ -130,7 +130,7 @@ def newton(mesh: Mesh, sites: SiteSet, opts: SolverOptions | None = None) -> Sol
         raise InitializationError(empty.tolist())
     eps0 = 0.5 * min(float(nu.min()), float(masses.min()))
 
-    g = nu - masses
+    g = dual.gradient(diagram, sites)
     gnorm = float(np.abs(g).max())
     gnorm0 = gnorm
     trace: list[TraceRow] = []
@@ -145,7 +145,7 @@ def newton(mesh: Mesh, sites: SiteSet, opts: SolverOptions | None = None) -> Sol
             tau *= 0.5
             psi_try = psi + tau * d
             diagram_try = laguerre.build(mesh, sites, psi_try)
-            g_try = nu - diagram_try.masses
+            g_try = dual.gradient(diagram_try, sites)
             gnorm_try = float(np.abs(g_try).max())
             min_mass = float(diagram_try.masses.min())
             if min_mass >= eps0 and gnorm_try <= (1.0 - 0.5 * tau) * gnorm:

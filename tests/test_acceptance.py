@@ -72,7 +72,7 @@ def test_criterion_2_fd_gradient():
         rng = np.random.default_rng(3000 + trial)
         psi = rng.uniform(-0.05, 0.05, 10)
         g = dual.gradient(laguerre.build(mesh, sites, psi), sites)
-        fd = oracle.fd_gradient(mesh, sites, psi, h=1e-6)
+        fd = oracle.fd_gradient(mesh, sites, psi)
         worst = max(worst, float(np.abs(g - fd).max()))
         assert np.abs(g - fd).max() <= 1e-5
     elapsed = time.perf_counter() - start
@@ -87,7 +87,7 @@ def test_criterion_3_fd_hessian():
         rng = np.random.default_rng(5000 + trial)
         psi = rng.uniform(-0.05, 0.05, 6)
         dense = dual.hessian(laguerre.build(mesh, sites, psi), sites).as_dense()
-        fd = oracle.fd_hessian(mesh, sites, psi, h=1e-5)
+        fd = oracle.fd_hessian(mesh, sites, psi)
         worst = max(worst, float(np.abs(dense - fd).max()))
         assert np.abs(dense - fd).max() <= 1e-4
     announce(3, f"5 instances, worst entrywise error {worst:.2e}")

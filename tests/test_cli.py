@@ -9,6 +9,7 @@ from sdot import cli, domain
 from sdot.transport import InterpolationFrame
 
 SITES_CSV = "x,y,nu\n0.25,0.5,0.75\n0.75,0.5,0.25\n"
+TRIANGLE_DMESH = "3 1\n0 0 2\n1 0 2\n0 1 2\n"
 
 REPORT_KEYS = ["psi", "masses", "nu", "w2", "iterations", "grad_norm", "converged", "trace"]
 TRACE_KEYS = ["iter", "grad_norm", "tau", "k_value"]
@@ -104,7 +105,8 @@ class TestSolve:
                          "--out", str(out), "--max-iter", "0"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: solver:")
+        assert re.fullmatch(r"error: solver: not converged after 0 iterations "
+                            r"\(\|g\| = \d\.\d{3}e[-+]\d\d\)\n", err)
         report = json.loads(out.read_text())
         assert report["converged"] is False
         assert len(report["trace"]) == 0
@@ -154,6 +156,55 @@ class TestMalformedInput:
         assert code == 1
         assert re.fullmatch(r"error: parse: [^\n]+\n", capsys.readouterr().err)
 
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("", "1: empty mesh file"),
+            ("3 x\n", "1: non-integer header"),
+            ("# c\n3\n", "2: expected 'nv nt' header"),
+            ("3 1\n0 0 1\n", "1: header promises 3+1 rows, file has 1"),
+            ("-1 -1\n", "1: header promises -1+-1 rows, file has 0"),
+            ("-1 2\n0 0 1\n", "1: negative count in header"),
+            ("3 1\n0 0\n1 0 2\n0 1 2\n0 1 2\n", "2: expected 'x y rho'"),
+            ("3 1\n0 a 2\n1 0\n0 1 2\n0 1 2\n", "2: non-numeric vertex row"),
+            (TRIANGLE_DMESH + "0 1 2 0\n", "5: expected 'i j k'"),
+            (TRIANGLE_DMESH + "0 1 2.0\n", "5: non-integer triangle row"),
+            (TRIANGLE_DMESH + "0 1 99999999999999999999\n", "5: value out of range for int64"),
+            (TRIANGLE_DMESH + "0 -99999999999999999999 2\n",
+             "5: value out of range for int64"),
+        ],
+        ids=["empty", "non-integer-header", "short-header", "row-count", "negative-row-count",
+             "negative-count", "short-vertex-row", "non-numeric-vertex", "long-triangle-row",
+             "non-integer-triangle", "index-overflow", "negative-index-overflow"],
+    )
+    def test_malformed_mesh_is_a_parse_error(self, square_files, tmp_path, capsys, text, detail):
+        _, sites_path = square_files
+        mesh = tmp_path / "bad.dmesh"
+        mesh.write_text(text)
+        code = cli.main(["distance", "--mesh", str(mesh), "--sites", str(sites_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: parse: {mesh}:{detail}\n"
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("", ":1: empty sites file"),
+            ("x,y\n0.25,0.5\n", ":1: expected header 'x,y,nu'"),
+            ("x,y,nu\n\n \n", ": no site rows"),
+            ("x,y,nu\n0.25,0.5,0.75\n\n0.75,0.5\n", ":4: expected 3 columns"),
+            ("x,y,nu\n0.25,z,0.75\n0.75\n", ":2: non-numeric value"),
+        ],
+        ids=["empty", "bad-header", "no-rows", "short-row-after-blank", "non-numeric"],
+    )
+    def test_malformed_sites_are_a_parse_error(self, square_files, tmp_path, capsys, text,
+                                               detail):
+        mesh_path, _ = square_files
+        sites = tmp_path / "bad.csv"
+        sites.write_text(text)
+        code = cli.main(["distance", "--mesh", str(mesh_path), "--sites", str(sites)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: parse: {sites}{detail}\n"
+
     def test_non_numeric_time_is_a_validation_error(self, square_files, tmp_path, capsys):
         mesh_path, sites_path = square_files
         psi = tmp_path / "psi.json"
@@ -165,6 +216,17 @@ class TestMalformedInput:
 
 
 class TestDistance:
+    def test_non_convergence_exit_code(self, square_files, tmp_path, capsys):
+        mesh_path, sites_path = square_files
+        out = tmp_path / "r.json"
+        code = cli.main(["distance", "--mesh", str(mesh_path), "--sites", str(sites_path),
+                         "--out", str(out), "--max-iter", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: solver: not converged; no distance reported\n"
+        assert json.loads(out.read_text())["converged"] is False  # written before failing
+
     def test_prints_w2(self, square_files, tmp_path, capsys):
         mesh_path, sites_path = square_files
         assert cli.main(["distance", "--mesh", str(mesh_path),
@@ -214,6 +276,15 @@ class TestDiagram:
 
 
 class TestInterpolate:
+    def test_non_convergence_exit_code(self, square_files, tmp_path, capsys):
+        mesh_path, sites_path = square_files
+        out_dir = tmp_path / "frames"
+        code = cli.main(["interpolate", "--mesh", str(mesh_path), "--sites", str(sites_path),
+                         "--max-iter", "0", "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: solver: not converged; refusing to interpolate\n"
+        assert not out_dir.exists()
+
     def test_frames_written(self, square_files, tmp_path):
         mesh_path, sites_path = square_files
         report_path = tmp_path / "r.json"
@@ -274,3 +345,15 @@ class TestCheck:
         assert cli.main(["check"]) == 0
         out = capsys.readouterr().out
         assert "check: ok" in out
+
+    def test_failure_exits_through_main(self, capsys, monkeypatch):
+        def offset_gradient(mesh, sites, psi, *args, **kwargs):
+            return sites.masses + 1.0  # far from the analytic gradient
+
+        monkeypatch.setattr(cli.oracle, "fd_gradient", offset_gradient)
+        assert cli.main(["check"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 3 and all(line.startswith("check: ") for line in lines)
+        assert "check: ok" not in captured.out
+        assert captured.err == "error: validation: self-check failed\n"

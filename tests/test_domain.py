@@ -74,6 +74,46 @@ class TestLoadMesh:
         assert np.array_equal(again.triangles, mesh.triangles)
 
 
+AWKWARD_REALS = [-0.0, 5e-324, 1e17, 1 / 3, 1.7976931348623157e308]
+
+
+def awkward_column(rng, n):
+    """The awkward reals first, then reals over forty decades."""
+    m = n - len(AWKWARD_REALS)
+    rest = rng.normal(size=m) * 10.0 ** rng.integers(-20, 20, m)
+    return np.concatenate([AWKWARD_REALS, rest])
+
+
+class TestWriters:
+    """The table writers match one ``.17g`` f-string per row, byte for byte."""
+
+    def test_save_mesh_bytes_equal_per_row_formatting(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 40
+        xyr = np.column_stack([awkward_column(rng, n) for _ in range(3)])
+        triangles = rng.integers(0, 2**62, (25, 3))
+        # the writer needs no valid mesh, so the arrays bypass make_mesh
+        mesh = domain.Mesh(xyr[:, :2], np.roll(xyr[:, 2], 2), triangles)
+        domain.save_mesh(mesh, tmp_path / "m.dmesh")
+        lines = [f"{n} {len(triangles)}"]
+        lines += [f"{x:.17g} {y:.17g} {r:.17g}"
+                  for (x, y), r in zip(mesh.vertices, mesh.densities)]
+        lines += [f"{i} {j} {k}" for i, j, k in triangles]
+        assert (tmp_path / "m.dmesh").read_text() == "\n".join(lines) + "\n"
+
+    def test_save_sites_bytes_equal_per_row_formatting(self, tmp_path):
+        rng = np.random.default_rng(12)
+        n = 40
+        sites = domain.SiteSet(
+            np.column_stack([np.roll(awkward_column(rng, n), 1), awkward_column(rng, n)]),
+            awkward_column(rng, n)[::-1].copy(),
+        )
+        domain.save_sites(sites, tmp_path / "s.csv")
+        lines = ["x,y,nu"] + [f"{x:.17g},{y:.17g},{nu:.17g}"
+                              for (x, y), nu in zip(sites.positions, sites.masses)]
+        assert (tmp_path / "s.csv").read_text() == "\n".join(lines) + "\n"
+
+
 class TestTotalMass:
     def test_uniform_square(self):
         assert domain.square_mesh(1, "const:1").total_mass == pytest.approx(1.0, abs=1e-15)

@@ -127,7 +127,7 @@ class TestDerivativeChecks:
             psi = rng.uniform(-0.05, 0.05, 10)
             diag, _ = build_at(mesh, sites, psi)
             g = dual.gradient(diag, sites)
-            fd = oracle.fd_gradient(mesh, sites, psi, h=1e-6)
+            fd = oracle.fd_gradient(mesh, sites, psi)
             assert np.abs(g - fd).max() <= 1e-5
 
     def test_fd_hessian_matches(self):
@@ -137,7 +137,7 @@ class TestDerivativeChecks:
             psi = rng.uniform(-0.05, 0.05, 6)
             diag, _ = build_at(mesh, sites, psi)
             dense = dual.hessian(diag, sites).as_dense()
-            fd = oracle.fd_hessian(mesh, sites, psi, h=1e-5)
+            fd = oracle.fd_hessian(mesh, sites, psi)
             assert np.abs(dense - fd).max() <= 1e-4
 
     def test_concavity_along_random_directions(self):

@@ -29,12 +29,12 @@ class TestMcMasses:
 class TestFdGradient:
     def test_zero_at_optimum(self, analytic_two_site):
         mesh, sites = analytic_two_site
-        fd = oracle.fd_gradient(mesh, sites, [0.25, 0.0], h=1e-6)
+        fd = oracle.fd_gradient(mesh, sites, [0.25, 0.0])
         assert np.abs(fd).max() <= 1e-5
 
     def test_two_site_voronoi(self, analytic_two_site):
         mesh, sites = analytic_two_site
-        fd = oracle.fd_gradient(mesh, sites, [0.0, 0.0], h=1e-6)
+        fd = oracle.fd_gradient(mesh, sites, [0.0, 0.0])
         assert fd == pytest.approx([0.25, -0.25], abs=1e-5)
 
     def test_matches_analytic_on_random_instance(self):
@@ -42,5 +42,5 @@ class TestFdGradient:
         rng = np.random.default_rng(502)
         psi = rng.uniform(-0.05, 0.05, 10)
         g = dual.gradient(laguerre.build(mesh, sites, psi), sites)
-        fd = oracle.fd_gradient(mesh, sites, psi, h=1e-6)
+        fd = oracle.fd_gradient(mesh, sites, psi)
         assert np.abs(fd - g).max() <= 1e-5
