@@ -40,10 +40,6 @@ def _json_text(obj) -> str:
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_text(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _f17(obj)
     return json.dumps(obj)

@@ -165,11 +165,14 @@ def load_mesh(path) -> Mesh:
     """Parse and validate a ``.dmesh`` file."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append((lineno, line.split()))
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                rows.append((lineno, line.split()))
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise FormatError(f"{path}:1: empty mesh file")
 
@@ -255,9 +258,7 @@ def make_sites(positions, masses, mesh_mass: float, normalize: bool = False) -> 
 
     n = len(positions)
     if n > 1:
-        span = float(np.ptp(positions, axis=0).max())
-        diam = math.hypot(*np.ptp(positions, axis=0)) if span > 0 else 0.0
-        tol = COINCIDENCE_REL * diam
+        tol = COINCIDENCE_REL * math.hypot(*np.ptp(positions, axis=0))
         # the second-nearest site, counting itself, is its nearest other site
         nearest = cKDTree(positions).query(positions, k=2)[0][:, 1]
         i = int(np.argmin(nearest))  # lowest index of a closest pair
@@ -290,17 +291,21 @@ def load_sites(path, mesh_mass: float, normalize: bool = False) -> SiteSet:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}:1: empty sites file") from None
-        if [h.strip().lower() for h in header] != ["x", "y", "nu"]:
-            raise FormatError(f"{path}:1: expected header 'x,y,nu'")
-        rows = (
-            (lineno, row)
-            for lineno, row in enumerate(reader, start=2)
-            if row and not (len(row) == 1 and not row[0].strip())
-        )
-        table = _read_rows(path, rows, float, "3 columns", "non-numeric value")
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}:1: empty sites file")
+            if [h.strip().lower() for h in header] != ["x", "y", "nu"]:
+                raise FormatError(f"{path}:1: expected header 'x,y,nu'")
+            rows = (
+                (lineno, row)
+                for lineno, row in enumerate(reader, start=2)
+                if row and not (len(row) == 1 and not row[0].strip())
+            )
+            table = _read_rows(path, rows, float, "3 columns", "non-numeric value")
+        except csv.Error as exc:
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not UTF-8 text") from None
     if not len(table):
         raise FormatError(f"{path}: no site rows")
     return make_sites(table[:, :2].copy(), table[:, 2].copy(), mesh_mass, normalize)

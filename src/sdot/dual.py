@@ -25,10 +25,9 @@ from .domain import SiteSet
 from .laguerre import LaguerreDiagram
 
 
-def value(diagram: LaguerreDiagram, sites: SiteSet, psi) -> float:
-    """Dual objective K at the weights the diagram was built from."""
-    psi = np.asarray(psi, dtype=float)
-    return transport_cost(diagram, sites) + float(psi @ (sites.masses - diagram.masses))
+def value(diagram: LaguerreDiagram, sites: SiteSet) -> float:
+    """Dual objective K at the weights ``diagram.psi`` the diagram was built from."""
+    return transport_cost(diagram, sites) + float(diagram.psi @ (sites.masses - diagram.masses))
 
 
 def transport_cost(diagram: LaguerreDiagram, sites: SiteSet) -> float:
@@ -69,17 +68,16 @@ class SparseHessian:
         h[j, i] = self.weights
         return h
 
-    def neg_reduced(self, pin: int) -> sparse.csc_matrix:
-        """Negated Hessian with the pinned row/column removed (SPD if connected)."""
-        keep = (self.pairs != pin).all(axis=1)
-        p = self.pairs[keep]
-        p = p - (p > pin)
-        w = -self.weights[keep]
+    def neg_reduced(self) -> sparse.csc_matrix:
+        """Negated Hessian without the last (pinned) row/column (SPD if connected)."""
         m = self.n - 1
+        keep = self.pairs[:, 1] < m  # i < j: only j can be the pinned site
+        p = self.pairs[keep]
+        w = -self.weights[keep]
         d = np.arange(m)
         rows = np.concatenate([d, p[:, 0], p[:, 1]])
         cols = np.concatenate([d, p[:, 1], p[:, 0]])
-        vals = np.concatenate([-np.delete(self.diag, pin), w, w])
+        vals = np.concatenate([-self.diag[:m], w, w])
         return sparse.csc_matrix((vals, (rows, cols)), shape=(m, m))
 
     def adjacency_components(self) -> list[list[int]]:

@@ -17,8 +17,10 @@ local affine density.
 
 Edges created by a bisector cut keep the competitor's index as a label,
 which is how interface segments (the support of the dual Hessian) are
-collected without any geometric search.  Each interface is recorded from
-the lower-indexed side only.
+collected without any geometric search.  A bisector along the bounding
+rectangle cuts nothing, so each cell's rectangle edges are relabelled once,
+before the triangle clips copy the labels into its fragments.  Each
+interface is recorded from the lower-indexed side only.
 
 The diagram is stored as flat edge arrays: every kept fragment appends its
 vertices (CCW) and the labels of the edges leaving them, so an edge is a
@@ -175,7 +177,8 @@ def _checked_psi(psi, n: int) -> np.ndarray:
 def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
     """Construct the Laguerre diagram of ``(sites, psi)`` restricted to the mesh."""
     n = len(sites)
-    psi = _checked_psi(psi, n)
+    psi = _checked_psi(psi, n).copy()  # the diagram's own weights, which dual.value reads
+    psi.setflags(write=False)
 
     x0, y0, x1, y1 = mesh.bbox
     bbox_rect: Polygon = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
@@ -186,7 +189,12 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
     # native floats: the clipping loops box numpy scalars otherwise
     pos = [tuple(p) for p in sites.positions.tolist()]
     psi_l = psi.tolist()
-    tri_pts = mesh.vertices[mesh.triangles].tolist()
+    # each CCW triangle's inner half-planes, one per edge a -> b
+    tri_planes = [
+        [(by - ay, ax - bx, (by - ay) * ax + (ax - bx) * ay)
+         for (ax, ay), (bx, by) in ((c[0], c[1]), (c[1], c[2]), (c[2], c[0]))]
+        for c in mesh.vertices[mesh.triangles].tolist()
+    ]
 
     verts: list[Point] = []  # the fragments' vertices, one fragment after another
     edge_labels: list[int] = []
@@ -200,6 +208,8 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
         )
         if not cell:
             continue
+        if BOUNDARY in labels:  # the triangle clips carry the labels into each fragment
+            labels = _relabel_boundary_edges(cell, labels, cuts)
 
         cx = [p[0] for p in cell]
         cy = [p[1] for p in cell]
@@ -212,23 +222,16 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
         )[0]
 
         for t in cand.tolist():
-            corners = tri_pts[t]
             poly, lab = cell, labels
-            for e in range(3):
-                ax, ay = corners[e]
-                bx, by = corners[e - 2]
-                h = (by - ay, ax - bx, (by - ay) * ax + (ax - bx) * ay)
+            for h in tri_planes[t]:
                 poly, lab = clip_labeled(poly, lab, h, BOUNDARY, merge_tol)
-                if not poly:
-                    break
-            if not poly or area(poly) < area_drop:
+            if area(poly) < area_drop:  # the empty polygon has area 0
                 continue
-            if BOUNDARY in lab:
-                lab = _relabel_boundary_edges(poly, lab, cuts)
             verts.extend(poly)
             edge_labels.extend(lab)
             frags.append((j, t, len(poly)))
 
+    del tri_planes  # free it before the vertex arrays, the build's memory peak
     frag_site, frag_tri, size = np.array(frags, dtype=np.intp).reshape(-1, 3).T
     frag = np.repeat(np.arange(len(size)), size)
     nxt = np.arange(1, len(frag) + 1)
@@ -305,12 +308,14 @@ def _clip_cell(bbox_rect, yj, psi_j, psi, pos, candidates, merge_tol):
 
 
 def _relabel_boundary_edges(poly, labels, cuts):
-    """Recover interface edges that coincide with triangle boundaries.
+    """Recover interface edges that lie along the bounding rectangle.
 
-    A bisector lying exactly on a mesh edge never cuts either neighboring
-    triangle, so the shared edge keeps the BOUNDARY label; detect that case
-    by checking boundary-labelled edges against the applied bisectors
-    ``cuts`` (see :func:`_clip_cell`).
+    A bisector within the merge band of a rectangle edge never cuts the
+    cell there, so that cell edge keeps the BOUNDARY label; give it the
+    label of the first applied bisector ``cuts`` (see :func:`_clip_cell`)
+    that holds both its ends in its band.  A bisector along a triangle edge
+    needs no relabelling: the cell edge it made lies within the band of the
+    triangle's clip, which keeps the bisector's label.
     """
     m = len(poly)
     out = list(labels)

@@ -39,21 +39,21 @@ def mc_masses(
 def fd_gradient(mesh: Mesh, sites: SiteSet, psi) -> np.ndarray:
     """Central differences of the dual value, one coordinate at a time."""
     return _central_differences(
-        mesh, sites, psi, FD_GRADIENT_STEP, lambda d, p: dual.value(d, sites, p)
+        mesh, sites, psi, FD_GRADIENT_STEP, lambda d: dual.value(d, sites)
     )
 
 
 def fd_hessian(mesh: Mesh, sites: SiteSet, psi) -> np.ndarray:
     """Central differences of the analytic gradient, column by column."""
     return _central_differences(
-        mesh, sites, psi, FD_HESSIAN_STEP, lambda d, p: dual.gradient(d, sites)
+        mesh, sites, psi, FD_HESSIAN_STEP, lambda d: dual.gradient(d, sites)
     )
 
 
 def _central_differences(mesh: Mesh, sites: SiteSet, psi, h: float, f) -> np.ndarray:
     """``(f(psi + h e_j) - f(psi - h e_j)) / 2h`` for each site j, as entry or column j.
 
-    ``f(diagram, p)`` is evaluated on the diagram built at the weights ``p``.
+    ``f(diagram)`` is evaluated on the diagram built at each shifted weight vector.
     """
     psi = np.asarray(psi, dtype=float)
     out = []
@@ -62,7 +62,7 @@ def _central_differences(mesh: Mesh, sites: SiteSet, psi, h: float, f) -> np.nda
         plus[j] += h
         minus = psi.copy()
         minus[j] -= h
-        f_plus = f(laguerre.build(mesh, sites, plus), plus)
-        f_minus = f(laguerre.build(mesh, sites, minus), minus)
+        f_plus = f(laguerre.build(mesh, sites, plus))
+        f_minus = f(laguerre.build(mesh, sites, minus))
         out.append((f_plus - f_minus) / (2.0 * h))
     return np.array(out).T

@@ -93,9 +93,8 @@ def solve_gauge_fixed(h: dual.SparseHessian, g: np.ndarray,
     if len(components) > 1:
         raise DisconnectedAdjacencyError(components)
 
-    pin = n - 1
-    a = h.neg_reduced(pin)
-    b = np.delete(g, pin)
+    a = h.neg_reduced()
+    b = g[:-1]
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return d
@@ -109,7 +108,7 @@ def solve_gauge_fixed(h: dual.SparseHessian, g: np.ndarray,
         x = x + lu.solve(r)
     else:
         raise LinearSolveError(float(np.linalg.norm(b - a @ x)) / bnorm, linear_tol)
-    d[:pin] = x
+    d[:-1] = x
     return d
 
 
@@ -117,13 +116,11 @@ def newton(mesh: Mesh, sites: SiteSet, opts: SolverOptions | None = None) -> Sol
     """Solve for the weights whose Laguerre cells carry the prescribed masses."""
     if opts is None:
         opts = SolverOptions()
-    n = len(sites)
     nu = sites.masses
     mu_total = mesh.total_mass
     tol_abs = opts.tol * mu_total
 
-    psi = np.zeros(n)
-    diagram = laguerre.build(mesh, sites, psi)
+    diagram = laguerre.build(mesh, sites, np.zeros(len(sites)))
     masses = diagram.masses
     empty = np.nonzero(masses <= 0.0)[0]
     if empty.size:
@@ -143,8 +140,7 @@ def newton(mesh: Mesh, sites: SiteSet, opts: SolverOptions | None = None) -> Sol
         tau = 2.0
         for _ in range(opts.max_halvings):
             tau *= 0.5
-            psi_try = psi + tau * d
-            diagram_try = laguerre.build(mesh, sites, psi_try)
+            diagram_try = laguerre.build(mesh, sites, diagram.psi + tau * d)
             g_try = dual.gradient(diagram_try, sites)
             gnorm_try = float(np.abs(g_try).max())
             min_mass = float(diagram_try.masses.min())
@@ -153,15 +149,14 @@ def newton(mesh: Mesh, sites: SiteSet, opts: SolverOptions | None = None) -> Sol
         else:
             raise LineSearchError(opts.max_halvings, iterations + 1, gnorm, tau, min_mass, eps0)
 
-        diagram, g, gnorm = diagram_try, g_try, gnorm_try
-        psi = psi_try - psi_try[-1]  # keep the pinned gauge exact (d[-1] is 0)
+        diagram, g, gnorm = diagram_try, g_try, gnorm_try  # psi[-1] stays 0: d[-1] is 0
         iterations += 1
         trace.append(
             TraceRow(
                 iter=iterations,
                 grad_norm=gnorm,
                 tau=tau,
-                k_value=dual.value(diagram, sites, psi),
+                k_value=dual.value(diagram, sites),
                 min_mass=min_mass,
                 mass_sum=float(diagram.masses.sum()),
             )
@@ -174,7 +169,7 @@ def newton(mesh: Mesh, sites: SiteSet, opts: SolverOptions | None = None) -> Sol
             )
 
     return SolveReport(
-        psi=psi,
+        psi=diagram.psi,
         masses=diagram.masses,
         nu=nu,
         iterations=iterations,

@@ -221,7 +221,7 @@ def test_criterion_10_voronoi_reduction():
 def test_criterion_11_w2_consistency(battery):
     worst = 0.0
     for name, mesh, sites, report in battery:
-        k_value = dual.value(report.diagram, sites, report.psi)
+        k_value = dual.value(report.diagram, sites)
         rel = abs(k_value - report.w2**2) / (report.w2**2)
         worst = max(worst, rel)
         assert rel <= 1e-8, name

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -172,15 +173,16 @@ class TestMalformedInput:
             (TRIANGLE_DMESH + "0 1 99999999999999999999\n", "5: value out of range for int64"),
             (TRIANGLE_DMESH + "0 -99999999999999999999 2\n",
              "5: value out of range for int64"),
+            ("# \udce9\n" + TRIANGLE_DMESH, " not UTF-8 text"),  # the byte 0xE9
         ],
         ids=["empty", "non-integer-header", "short-header", "row-count", "negative-row-count",
              "negative-count", "short-vertex-row", "non-numeric-vertex", "long-triangle-row",
-             "non-integer-triangle", "index-overflow", "negative-index-overflow"],
+             "non-integer-triangle", "index-overflow", "negative-index-overflow", "not-utf8"],
     )
     def test_malformed_mesh_is_a_parse_error(self, square_files, tmp_path, capsys, text, detail):
         _, sites_path = square_files
         mesh = tmp_path / "bad.dmesh"
-        mesh.write_text(text)
+        mesh.write_text(text, encoding="utf-8", errors="surrogateescape")
         code = cli.main(["distance", "--mesh", str(mesh), "--sites", str(sites_path)])
         assert code == 1
         assert capsys.readouterr().err == f"error: parse: {mesh}:{detail}\n"
@@ -193,14 +195,18 @@ class TestMalformedInput:
             ("x,y,nu\n\n \n", ": no site rows"),
             ("x,y,nu\n0.25,0.5,0.75\n\n0.75,0.5\n", ":4: expected 3 columns"),
             ("x,y,nu\n0.25,z,0.75\n0.75\n", ":2: non-numeric value"),
+            ("x,y,nu\n0.25,\udcff0.5,0.5\n", ": not UTF-8 text"),  # the byte 0xFF
+            (f'x,y,nu\n0.25,0.5,0.5\n"{"1" * (csv.field_size_limit() + 1)}",0.5,0.5\n',
+             f":3: field larger than field limit ({csv.field_size_limit()})"),
         ],
-        ids=["empty", "bad-header", "no-rows", "short-row-after-blank", "non-numeric"],
+        ids=["empty", "bad-header", "no-rows", "short-row-after-blank", "non-numeric",
+             "not-utf8", "field-too-long"],
     )
     def test_malformed_sites_are_a_parse_error(self, square_files, tmp_path, capsys, text,
                                                detail):
         mesh_path, _ = square_files
         sites = tmp_path / "bad.csv"
-        sites.write_text(text)
+        sites.write_text(text, encoding="utf-8", errors="surrogateescape")
         code = cli.main(["distance", "--mesh", str(mesh_path), "--sites", str(sites)])
         assert code == 1
         assert capsys.readouterr().err == f"error: parse: {sites}{detail}\n"

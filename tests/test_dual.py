@@ -6,60 +6,55 @@ from sdot import domain, dual, laguerre, oracle
 from conftest import interface_weight, interfaces, random_problem
 
 
-def build_at(mesh, sites, psi):
-    psi = np.asarray(psi, dtype=float)
-    return laguerre.build(mesh, sites, psi), psi
-
-
 class TestValue:
     def test_single_center_site(self, unit_square):
         sites = domain.make_sites([[0.5, 0.5]], [1.0], 1.0)
-        diag, psi = build_at(unit_square, sites, [0.0])
-        assert dual.value(diag, sites, psi) == pytest.approx(1 / 6, abs=1e-14)
+        diag = laguerre.build(unit_square, sites, [0.0])
+        assert dual.value(diag, sites) == pytest.approx(1 / 6, abs=1e-14)
 
     def test_constant_weight_cancels(self, unit_square):
         sites = domain.make_sites([[0.5, 0.5]], [1.0], 1.0)
-        diag, psi = build_at(unit_square, sites, [5.0])
-        assert dual.value(diag, sites, psi) == pytest.approx(1 / 6, abs=1e-13)
+        diag = laguerre.build(unit_square, sites, [5.0])
+        assert dual.value(diag, sites) == pytest.approx(1 / 6, abs=1e-13)
 
     def test_symmetric_weights_are_optimal(self, unit_square):
         sites = domain.make_sites([[0.25, 0.5], [0.75, 0.5]], [0.5, 0.5], 1.0)
-        d0, p0 = build_at(unit_square, sites, [0.0, 0.0])
-        d1, p1 = build_at(unit_square, sites, [0.1, 0.0])
-        assert dual.value(d0, sites, p0) >= dual.value(d1, sites, p1)
+        d0 = laguerre.build(unit_square, sites, [0.0, 0.0])
+        d1 = laguerre.build(unit_square, sites, [0.1, 0.0])
+        assert dual.value(d0, sites) >= dual.value(d1, sites)
 
 
 class TestGradient:
     def test_voronoi_masses(self, analytic_two_site):
         mesh, sites = analytic_two_site
-        diag, _ = build_at(mesh, sites, [0.0, 0.0])
+        diag = laguerre.build(mesh, sites, [0.0, 0.0])
         assert dual.gradient(diag, sites) == pytest.approx([0.25, -0.25], abs=1e-14)
 
     def test_zero_at_optimum(self, analytic_two_site):
         mesh, sites = analytic_two_site
-        diag, _ = build_at(mesh, sites, [0.25, 0.0])
+        diag = laguerre.build(mesh, sites, [0.25, 0.0])
         assert dual.gradient(diag, sites) == pytest.approx([0.0, 0.0], abs=1e-14)
 
     def test_single_site(self, unit_square):
         sites = domain.make_sites([[0.4, 0.4]], [1.0], 1.0)
-        diag, _ = build_at(unit_square, sites, [0.0])
+        diag = laguerre.build(unit_square, sites, [0.0])
         assert dual.gradient(diag, sites) == pytest.approx([0.0], abs=1e-14)
 
     def test_sums_to_zero(self):
         mesh, sites = random_problem(15, seed=6)
         rng = np.random.default_rng(1)
-        diag, _ = build_at(mesh, sites, rng.uniform(-0.03, 0.03, 15))
+        diag = laguerre.build(mesh, sites, rng.uniform(-0.03, 0.03, 15))
         g = dual.gradient(diag, sites)
         assert abs(g.sum()) <= 1e-10 * mesh.total_mass
 
     def test_empty_cell_still_defined(self, analytic_two_site):
         # a starved cell contributes mass 0; K and the gradient stay defined
         mesh, sites = analytic_two_site
-        diag, psi = build_at(mesh, sites, [-10.0, 0.0])
+        diag = laguerre.build(mesh, sites, [-10.0, 0.0])
         assert diag.masses[0] == 0.0
         g = dual.gradient(diag, sites)
         assert g[0] == pytest.approx(sites.masses[0])
-        assert np.isfinite(dual.value(diag, sites, psi))
+        assert np.isfinite(dual.value(diag, sites))
         h = dual.hessian(diag, sites)
         assert h.as_dense()[0] == pytest.approx([0.0, 0.0])
 
@@ -67,19 +62,19 @@ class TestGradient:
 class TestHessian:
     def test_two_site_matrix(self, unit_square):
         sites = domain.make_sites([[0.25, 0.5], [0.75, 0.5]], [0.5, 0.5], 1.0)
-        diag, _ = build_at(unit_square, sites, [0.0, 0.0])
+        diag = laguerre.build(unit_square, sites, [0.0, 0.0])
         h = dual.hessian(diag, sites)
         assert h.as_dense() == pytest.approx(np.array([[-1.0, 1.0], [1.0, -1.0]]), abs=1e-12)
 
     def test_single_site(self, unit_square):
         sites = domain.make_sites([[0.4, 0.4]], [1.0], 1.0)
-        diag, _ = build_at(unit_square, sites, [0.0])
+        diag = laguerre.build(unit_square, sites, [0.0])
         h = dual.hessian(diag, sites)
         assert h.as_dense() == pytest.approx(np.zeros((1, 1)))
 
     def test_symmetric_with_nonnegative_off_diagonal(self):
         mesh, sites = random_problem(20, seed=17)
-        diag, _ = build_at(mesh, sites, np.zeros(20))
+        diag = laguerre.build(mesh, sites, np.zeros(20))
         h = dual.hessian(diag, sites)
         dense = h.as_dense()
         assert np.array_equal(dense, dense.T)
@@ -89,7 +84,7 @@ class TestHessian:
     def test_matches_pair_by_pair_assembly(self):
         # reference: one pass over the sorted pairs, adding to i then to j
         mesh, sites = random_problem(20, seed=23, resolution=2, density="linear-x")
-        diag, _ = build_at(mesh, sites, np.random.default_rng(24).uniform(-0.02, 0.02, 20))
+        diag = laguerre.build(mesh, sites, np.random.default_rng(24).uniform(-0.02, 0.02, 20))
         h = dual.hessian(diag, sites)
         ref = np.zeros((20, 20))
         off = np.zeros(20)
@@ -104,16 +99,15 @@ class TestHessian:
         assert np.array_equal(h.as_dense(), ref)
         assert len(h.pairs) == len(segments_of)
 
-    @pytest.mark.parametrize("pin", [0, 7, 14])
-    def test_neg_reduced_deletes_the_pinned_row_and_column(self, pin):
+    def test_neg_reduced_deletes_the_pinned_row_and_column(self):
         mesh, sites = random_problem(15, seed=8)
         h = dual.hessian(laguerre.build(mesh, sites, np.zeros(15)), sites)
-        expected = np.delete(np.delete(-h.as_dense(), pin, axis=0), pin, axis=1)
-        assert np.array_equal(h.neg_reduced(pin).toarray(), expected)
+        assert 14 in h.pairs  # the pinned last site has entries to delete
+        assert np.array_equal(h.neg_reduced().toarray(), -h.as_dense()[:14, :14])
 
     def test_negative_semidefinite(self):
         mesh, sites = random_problem(12, seed=29)
-        diag, _ = build_at(mesh, sites, np.zeros(12))
+        diag = laguerre.build(mesh, sites, np.zeros(12))
         dense = dual.hessian(diag, sites).as_dense()
         eig = np.linalg.eigvalsh(dense)
         assert eig.max() <= 1e-12
@@ -125,7 +119,7 @@ class TestDerivativeChecks:
         for trial in range(3):
             mesh, sites = random_problem(10, seed=200 + trial)
             psi = rng.uniform(-0.05, 0.05, 10)
-            diag, _ = build_at(mesh, sites, psi)
+            diag = laguerre.build(mesh, sites, psi)
             g = dual.gradient(diag, sites)
             fd = oracle.fd_gradient(mesh, sites, psi)
             assert np.abs(g - fd).max() <= 1e-5
@@ -135,7 +129,7 @@ class TestDerivativeChecks:
         for trial in range(2):
             mesh, sites = random_problem(6, seed=400 + trial)
             psi = rng.uniform(-0.05, 0.05, 6)
-            diag, _ = build_at(mesh, sites, psi)
+            diag = laguerre.build(mesh, sites, psi)
             dense = dual.hessian(diag, sites).as_dense()
             fd = oracle.fd_hessian(mesh, sites, psi)
             assert np.abs(dense - fd).max() <= 1e-4
@@ -150,8 +144,8 @@ class TestDerivativeChecks:
             vals = []
             for t in np.arange(0.0, 1.01, 0.1):
                 p = psi + t * d
-                diag, _ = build_at(mesh, sites, p)
-                vals.append(dual.value(diag, sites, p))
+                diag = laguerre.build(mesh, sites, p)
+                vals.append(dual.value(diag, sites))
             slopes = np.diff(vals)
             assert (np.diff(slopes) <= 1e-12).all()
 

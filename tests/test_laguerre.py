@@ -407,7 +407,7 @@ def _battery():
     ring = 0.5 + 0.4 * np.column_stack([np.cos(angle), np.sin(angle)])
     yield pytest.param(ring, np.zeros(60), id="ring-60")
     # mirror pairs about y = x, the unit square's diagonal mesh edge: their
-    # bisectors run along it, the case _relabel_boundary_edges is written for
+    # bisectors run along it, and the triangle clip keeps the bisector labels
     pts = np.random.default_rng(7).random((40, 2))
     below = pts[pts[:, 1] < pts[:, 0] - 0.02][:10]
     yield pytest.param(
@@ -425,6 +425,29 @@ def test_build_matches_brute_force(unit_square, positions, psi):
     assert diag.masses == pytest.approx([area(poly) for poly, _ in cells], abs=1e-12)
     keys = {(j, k) for j, (_, labels) in enumerate(cells) for k in labels if k > j}
     assert set(map(tuple, diag.interfaces.tolist())) == keys
+
+
+@pytest.mark.parametrize(
+    "resolution, density, positions, mass0, weight",
+    [
+        (1, "const:1", [[0.25, 0.5], [-0.25, 0.5]], 1.0, 1.0),
+        # the bisector is y = 1: int_0^1 x dx / (2 * 0.4)
+        (2, "linear-x", [[0.3, 0.8], [0.3, 1.2]], 0.5, 0.625),
+    ],
+    ids=["mirrored-across-x0", "along-the-top-edge"],
+)
+def test_bisector_on_the_box_edge_is_an_interface(resolution, density, positions, mass0, weight):
+    """A bisector along the bounding rectangle cuts no cell, so only
+    ``_relabel_boundary_edges`` makes the shared edge an interface.
+
+    The brute-force battery's reference cells are not relabelled, so their
+    interface keys lack such a pair; these cases are checked here instead.
+    """
+    mesh = domain.square_mesh(resolution, density)
+    sites = domain.make_sites(positions, np.full(2, 0.5 * mesh.total_mass), mesh.total_mass)
+    diag = laguerre.build(mesh, sites, np.zeros(2))
+    assert diag.masses == pytest.approx([mass0, 0.0], abs=1e-14)
+    assert interface_weight(diag, 0, 1) == pytest.approx(weight, rel=1e-12)
 
 
 UNIT_BOX = (0.0, 0.0, 1.0, 1.0)

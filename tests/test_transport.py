@@ -148,6 +148,6 @@ class TestConsistency:
         mesh, sites = random_problem(7, seed=70)
         report = solver.newton(mesh, sites)
         assert report.converged
-        k_value = dual.value(report.diagram, sites, report.psi)
+        k_value = dual.value(report.diagram, sites)
         w2_sq = report.w2**2
         assert abs(k_value - w2_sq) <= 1e-8 * w2_sq
