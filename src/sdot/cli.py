@@ -80,6 +80,8 @@ def load_psi(path: str, n: int) -> np.ndarray:
         psi = np.asarray(data, dtype=float)
     except OverflowError as exc:
         raise FormatError(f"{path}: psi entry out of range: {exc}") from None
+    if not np.isfinite(psi).all():  # NaN, Infinity or a real like 1e400
+        raise FormatError(f"{path}: psi entry is not a finite number")
     if psi.shape != (n,):
         raise ValidationError(f"{path}: psi has {psi.size} entries, expected {n}")
     return psi

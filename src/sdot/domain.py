@@ -271,9 +271,14 @@ def make_sites(positions, masses, mesh_mass: float, normalize: bool = False) -> 
                 f"({positions[i, 0]:g}, {positions[i, 1]:g})"
             )
 
-    total = float(masses.sum())
+    with np.errstate(over="ignore"):  # an infinite sum is reported below, not warned about
+        total = float(masses.sum())
     if normalize:
         masses = masses * (mesh_mass / total)
+        if not (np.isfinite(masses) & (masses > 0)).all():
+            raise ValidationError(
+                f"site masses sum to {total:.17g}, which does not rescale to the mesh mass"
+            )
     elif abs(total - mesh_mass) > BALANCE_RTOL * abs(mesh_mass):
         raise ValidationError(
             f"unbalanced measures: site masses sum to {total:.17g}, "
@@ -327,6 +332,8 @@ def sample(mesh: Mesh, n: int, seed: int) -> np.ndarray:
     """
     if n < 0:
         raise ValidationError("sample count must be nonnegative")
+    if seed < 0:
+        raise ValidationError("sample seed must be nonnegative")
     rng = np.random.default_rng(seed)
     out = np.empty((n, 2))
     if n == 0:

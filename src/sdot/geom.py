@@ -8,6 +8,10 @@ All predicates are plain floating point with explicit tolerances.  Callers
 pass ``merge_tol``, an absolute length below which consecutive vertices are
 considered coincident; it should be scaled from the domain bounding-box
 diameter (``MERGE_REL * diameter`` is the convention used elsewhere).
+:func:`clip_labeled` is Sutherland-Hodgman clipping (Sutherland and Hodgman
+1974, *Reentrant polygon clipping*) in one pass: it merges each vertex it
+emits into the last one kept, so every polygon it returns has consecutive
+vertices at least ``merge_tol`` apart, save possibly the closing edge.
 
 Integrals over a polygon are sums over its edges: each edge ``p -> q``
 contributes the signed integral over the triangle from a fixed origin to
@@ -49,66 +53,50 @@ def clip_labeled(
     ``labels[i]`` names the source of the edge ``poly[i] -> poly[i+1]``;
     edges created by this cut get ``label``.  Used by the diagram builder
     to recover interface segments without a geometric search.
+
+    One pass emits the kept vertices and the crossings of the cut line and
+    compares each with the last vertex kept: closer than ``merge_tol``, the
+    degenerate edge collapses and the newer label carries on.  ``poly`` is
+    one this function returned, or any polygon whose consecutive vertices
+    are at least ``merge_tol`` apart.  A cut that keeps all of it returns it
+    unchanged, unless its closing edge is shorter than ``merge_tol``; fewer
+    than three vertices left make the empty polygon.
     """
-    n = len(poly)
-    if n == 0:
-        return [], []
     a, b, c = h
     band = merge_tol * math.hypot(a, b)
-    f = [a * px + b * py - c for px, py in poly]
-    out: Polygon = []
-    lout: list[int] = []
-    for i in range(n):
-        j = i + 1 if i + 1 < n else 0
-        fi = f[i]
-        fj = f[j]
-        if fi <= band:
-            out.append(poly[i])
-            lout.append(labels[i])
-            if fj > band:
-                # clamp against band-induced extrapolation on near-parallel edges
-                t = min(max(fi / (fi - fj), 0.0), 1.0)
-                pi = poly[i]
-                pj = poly[j]
-                out.append((pi[0] + t * (pj[0] - pi[0]), pi[1] + t * (pj[1] - pi[1])))
-                lout.append(label)  # the new edge runs along the cut line
-        elif fj <= band:
-            # re-entering: the remainder of the cut edge keeps its label
-            t = min(max(fi / (fi - fj), 0.0), 1.0)
-            pi = poly[i]
-            pj = poly[j]
-            out.append((pi[0] + t * (pj[0] - pi[0]), pi[1] + t * (pj[1] - pi[1])))
-            lout.append(labels[i])
-    return _merged(out, lout, merge_tol)
-
-
-def _merged(
-    poly: Polygon, labels: list[int], merge_tol: float
-) -> tuple[Polygon, list[int]]:
-    if len(poly) < 3:
-        return [], []
     t2 = merge_tol * merge_tol
+    f = [a * x + b * y - c for x, y in poly]
+    if len(f) >= 3 and max(f) <= band:
+        (x0, y0), (x1, y1) = poly[0], poly[-1]
+        # only the closing edge of a returned polygon can be shorter than merge_tol
+        if (x0 - x1) * (x0 - x1) + (y0 - y1) * (y0 - y1) >= t2:
+            return poly, labels
     out: Polygon = []
     lout: list[int] = []
-    for p, l in zip(poly, labels):
-        if out:
-            q = out[-1]
-            dx = p[0] - q[0]
-            dy = p[1] - q[1]
+    lx = ly = math.inf  # the last vertex kept
+    for p, l, fp, q, fq in zip(poly, labels, f, poly[1:] + poly[:1], f[1:] + f[:1]):
+        inside = fp <= band
+        if inside == (fq <= band):
+            emit = ((p, l),) if inside else ()
+        else:
+            # clamp against band-induced extrapolation on near-parallel edges
+            t = min(max(fp / (fp - fq), 0.0), 1.0)
+            x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            # leaving, the new edge runs along the cut line; re-entering, the
+            # remainder of the cut edge keeps its label
+            emit = ((p, l), (x, label)) if inside else ((x, l),)
+        for v, k in emit:
+            dx = v[0] - lx
+            dy = v[1] - ly
             if dx * dx + dy * dy < t2:
-                # degenerate edge collapses; the newer cut continues from here
-                lout[-1] = l
-                continue
-        out.append(p)
-        lout.append(l)
-    if len(out) >= 2:
-        p = out[0]
-        q = out[-1]
-        dx = p[0] - q[0]
-        dy = p[1] - q[1]
-        if dx * dx + dy * dy < t2:
-            out.pop()
-            lout.pop()
+                lout[-1] = k  # degenerate edge collapses; the newer cut continues from here
+            else:
+                out.append(v)
+                lout.append(k)
+                lx, ly = v
+    if out and (out[0][0] - lx) * (out[0][0] - lx) + (out[0][1] - ly) * (out[0][1] - ly) < t2:
+        out.pop()
+        lout.pop()
     if len(out) < 3:
         return [], []
     return out, lout

@@ -41,8 +41,10 @@ class SolverOptions:
     def __post_init__(self):
         if not (0 < self.tol < 1):
             raise ValidationError("tol must lie in (0, 1)")
-        if self.max_iter < 0 or self.max_halvings <= 0 or self.linear_tol <= 0:
-            raise ValidationError("iteration caps and linear_tol must be positive")
+        if self.max_iter < 0 or self.max_halvings <= 0:
+            raise ValidationError("iteration caps must be positive")
+        if not 0 < self.linear_tol < np.inf:  # false for NaN
+            raise ValidationError("linear_tol must be finite and positive")
 
 
 @dataclass(frozen=True)

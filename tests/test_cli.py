@@ -144,9 +144,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "text",
         ['{"psi": [0.25,', '["a", 0]', "[{}, 0]", '["0.25", "0"]', "[true, 0]", "[null, 0]",
-         f"[{10**400}, 0]"],
+         f"[{10**400}, 0]", "[NaN, 0]", "[1e400, 0]", '{"psi": [Infinity, 0]}'],
         ids=["truncated-json", "string-entry", "object-entry", "numeric-string", "boolean",
-             "null", "huge-integer"],
+             "null", "huge-integer", "nan", "overflowing-real", "infinity"],
     )
     def test_malformed_psi_is_a_parse_error(self, square_files, tmp_path, capsys, text):
         mesh_path, sites_path = square_files
@@ -155,7 +155,9 @@ class TestMalformedInput:
         code = cli.main(["distance", "--mesh", str(mesh_path), "--sites", str(sites_path),
                          "--psi", str(psi)])
         assert code == 1
-        assert re.fullmatch(r"error: parse: [^\n]+\n", capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: parse: [^\n]+\n", err)
+        assert str(psi) in err
 
     @pytest.mark.parametrize(
         "text, detail",
@@ -219,6 +221,16 @@ class TestMalformedInput:
                          "--psi", str(psi), "--times", "0,x", "--out-dir", str(tmp_path / "f")])
         assert code == 1
         assert re.fullmatch(r"error: validation: [^\n]+\n", capsys.readouterr().err)
+
+    def test_negative_seed_is_a_validation_error(self, square_files, tmp_path, capsys):
+        mesh_path, sites_path = square_files
+        psi = tmp_path / "psi.json"
+        psi.write_text("[0.25, 0.0]")
+        code = cli.main(["interpolate", "--mesh", str(mesh_path), "--sites", str(sites_path),
+                         "--psi", str(psi), "--seed", "-1", "--out-dir", str(tmp_path / "f")])
+        assert code == 1
+        assert re.fullmatch(r"error: validation: [^\n]+\n", capsys.readouterr().err)
+        assert not (tmp_path / "f").exists()
 
 
 class TestDistance:

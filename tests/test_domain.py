@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,13 @@ class TestSites:
         sites = domain.make_sites([[0.2, 0.5], [0.8, 0.5]], [3.0, 1.0], 1.0, normalize=True)
         assert sites.masses == pytest.approx([0.75, 0.25])
 
+    @pytest.mark.parametrize("mass", [1e308, 1e-320], ids=["sum-overflows", "rescale-overflows"])
+    def test_normalize_rejects_masses_that_do_not_rescale(self, mass):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="does not rescale"):
+                domain.make_sites([[0.2, 0.5], [0.8, 0.5]], [mass, mass], 1.0, normalize=True)
+
     def test_imbalance_names_both_masses(self):
         with pytest.raises(ValidationError, match=r"sum to 2.*mesh mass is 1"):
             domain.make_sites([[0.2, 0.5], [0.8, 0.5]], [1.0, 1.0], 1.0)
@@ -203,6 +211,10 @@ class TestSites:
 class TestSample:
     def test_empty(self, unit_square):
         assert domain.sample(unit_square, 0, 1).shape == (0, 2)
+
+    def test_negative_seed_rejected(self, unit_square):
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            domain.sample(unit_square, 10, -1)
 
     def test_uniform_mean(self, unit_square):
         pts = domain.sample(unit_square, 10**6, seed=123)

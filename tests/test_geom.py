@@ -6,6 +6,7 @@ from scipy import integrate
 
 from sdot import geom
 
+import reference_clip
 from conftest import polygon_contains
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -72,6 +73,66 @@ class TestClip:
             kept = geom.area(clip(poly, (a, b, c), 1e-12))
             rest = geom.area(clip(poly, (-a, -b, -c), 1e-12))
             assert kept + rest == pytest.approx(geom.area(poly), rel=1e-12, abs=1e-15)
+
+
+def chained_cuts(rng, merge_tol, count):
+    """``count`` seeded cuts ``(poly, labels, h, label)`` applied in chain.
+
+    Each chain starts from the unit square and goes on from the reference
+    kernel's result, restarting when that is empty or after 20 cuts.  The
+    unit-normal lines are random, within two merge bands of a vertex, or
+    within two bands of an edge and tilted from it by at most 1e-6 rad.
+    """
+    poly, labels, depth = list(UNIT_SQUARE), [-1, -2, -3, -4], 0
+    for label in range(count):
+        kind = rng.integers(3)
+        if kind == 0:
+            theta = rng.uniform(0, 2 * math.pi)
+            px, py = rng.uniform(0, 1, size=2)
+        else:
+            i = rng.integers(len(poly))
+            (px, py), (qx, qy) = poly[i], poly[(i + 1) % len(poly)]
+            if kind == 1:
+                theta = rng.uniform(0, 2 * math.pi)
+            else:  # the normal of the edge p -> q, either way
+                theta = math.atan2(px - qx, qy - py) + rng.uniform(-1e-6, 1e-6)
+                theta += math.pi * rng.integers(2)
+        a, b = math.cos(theta), math.sin(theta)
+        h = (a, b, a * px + b * py + rng.uniform(-2, 2) * merge_tol)
+        yield poly, labels, h, label
+        poly, labels = reference_clip.clip_labeled(poly, labels, h, label, merge_tol)
+        depth += 1
+        if not poly or depth == 20:
+            poly, labels, depth = list(UNIT_SQUARE), [-1, -2, -3, -4], 0
+
+
+class TestAgainstReference:
+    """The one-pass kernel returns the frozen three-pass kernel's output exactly."""
+
+    @pytest.mark.parametrize("merge_tol", [0.0, 1e-12, 1e-6, 1e-3])
+    def test_chained_cuts(self, merge_tol):
+        rng = np.random.default_rng(16)
+        kept = emptied = 0
+        for poly, labels, h, label in chained_cuts(rng, merge_tol, 1500):
+            got = geom.clip_labeled(poly, labels, h, label, merge_tol)
+            assert got == reference_clip.clip_labeled(poly, labels, h, label, merge_tol)
+            kept += got[0] is poly
+            emptied += not got[0]
+        assert kept and emptied  # both early exits were taken
+
+    def test_short_closing_edge(self):
+        # the reference pops one vertex within merge_tol of the first; the
+        # next one, B, stays and closes the polygon on a short edge B -> A
+        tol = 1e-3
+        a, b, c = (0.0, 0.0), (0.0, 0.0009), (-0.0009, 0.0001)
+        poly, labels = [a, (1.0, 0.0), (1.0, 0.5), b, c], [0, 1, 2, 3, 4]
+        miss = (1.0, 0.0, 2.0)
+        for want in ([a, (1.0, 0.0), (1.0, 0.5), b], [a, (1.0, 0.0), (1.0, 0.5)]):
+            got = geom.clip_labeled(poly, labels, miss, 9, tol)
+            assert got == reference_clip.clip_labeled(poly, labels, miss, 9, tol)
+            poly, labels = got
+            assert poly == want
+        assert geom.clip_labeled(poly, labels, miss, 9, tol)[0] is poly
 
 
 class TestArea:

@@ -6,8 +6,9 @@ from scipy.spatial import Delaunay
 
 from sdot import domain, laguerre
 from sdot.errors import ValidationError
-from sdot.geom import MERGE_REL, area, clip_labeled
+from sdot.geom import MERGE_REL, area
 
+import reference_clip
 from conftest import fragments, interface_weight, interfaces, polygon_contains, random_problem
 
 
@@ -347,7 +348,8 @@ class TestAssign:
 
 
 def reference_cells(mesh, sites, psi):
-    """Brute force: clip the bbox of each cell by every other site's bisector."""
+    """Brute force: clip the bbox of each cell by every other site's bisector,
+    with the test tree's reference kernel rather than ``geom.clip_labeled``."""
     x0, y0, x1, y1 = mesh.bbox
     merge_tol = MERGE_REL * mesh.bbox_diameter
     pos = [tuple(p) for p in sites.positions.tolist()]
@@ -358,7 +360,7 @@ def reference_cells(mesh, sites, psi):
         for k in range(len(pos)):
             if k != j and poly:
                 h = laguerre.bisector(pos[j], psi[j], pos[k], psi[k])
-                poly, labels = clip_labeled(poly, labels, h, k, merge_tol)
+                poly, labels = reference_clip.clip_labeled(poly, labels, h, k, merge_tol)
         cells.append((poly, labels))
     return cells
 
@@ -471,6 +473,26 @@ def test_ring_sites_have_few_candidates():
     positions = 0.5 + 0.4 * np.column_stack([np.cos(angle), np.sin(angle)])
     neighbors = laguerre._power_neighbors(positions, np.zeros(n), UNIT_BOX)
     assert sum(len(c) for c in neighbors if c is not None) <= 6 * n
+
+
+@pytest.mark.parametrize("n", [800, 3000])
+def test_ring_build_conserves_mass_in_few_clips(unit_square, monkeypatch, n):
+    # every cell is a thin wedge, and all of them meet at the centre
+    clip = laguerre.clip_labeled
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return clip(*args)
+
+    monkeypatch.setattr(laguerre, "clip_labeled", counted)
+    angle = 2.0 * np.pi * np.arange(n) / n
+    positions = 0.5 + 0.4 * np.column_stack([np.cos(angle), np.sin(angle)])
+    sites = domain.make_sites(positions, np.full(n, 1.0 / n), 1.0)
+    diag = laguerre.build(unit_square, sites, np.zeros(n))
+    assert abs(diag.masses.sum() - 1.0) <= 1e-10  # acceptance criterion 4
+    assert calls <= 12 * n
 
 
 def test_neighbour_keys_do_not_overflow_int32():

@@ -181,3 +181,6 @@ class TestOptions:
             solver.SolverOptions(max_halvings=0)
         with pytest.raises(ValidationError):
             solver.SolverOptions(linear_tol=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="linear_tol"):
+                solver.SolverOptions(linear_tol=bad)
