@@ -201,6 +201,13 @@ def _cmd_diagram(args) -> None:
 
 
 def _cmd_interpolate(args) -> None:
+    # checked first, so that a bad argument fails before a long solve
+    if args.seed < 0:
+        raise ValidationError("--seed must be nonnegative")
+    try:
+        times = [float(s) for s in args.times.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"--times: {exc}") from None
     mesh, sites = _load_problem(args)
     if args.psi:
         psi = load_psi(args.psi, len(sites))
@@ -209,10 +216,6 @@ def _cmd_interpolate(args) -> None:
         if not report.converged:
             raise SolverError("not converged; refusing to interpolate")
         psi = report.psi
-    try:
-        times = [float(s) for s in args.times.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"--times: {exc}") from None
     frames = transport.interpolate(mesh, sites, psi, args.n, times, args.seed)
     write_frames(frames, args.out_dir)
 

@@ -332,8 +332,6 @@ def sample(mesh: Mesh, n: int, seed: int) -> np.ndarray:
     """
     if n < 0:
         raise ValidationError("sample count must be nonnegative")
-    if seed < 0:
-        raise ValidationError("sample seed must be nonnegative")
     rng = np.random.default_rng(seed)
     out = np.empty((n, 2))
     if n == 0:

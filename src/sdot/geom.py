@@ -54,49 +54,50 @@ def clip_labeled(
     edges created by this cut get ``label``.  Used by the diagram builder
     to recover interface segments without a geometric search.
 
-    One pass emits the kept vertices and the crossings of the cut line and
-    compares each with the last vertex kept: closer than ``merge_tol``, the
-    degenerate edge collapses and the newer label carries on.  ``poly`` is
-    one this function returned, or any polygon whose consecutive vertices
-    are at least ``merge_tol`` apart.  A cut that keeps all of it returns it
-    unchanged, unless its closing edge is shorter than ``merge_tol``; fewer
-    than three vertices left make the empty polygon.
+    One pass walks the edges ``p -> q``, emits ``p`` if kept and then the
+    crossing of the cut line, and compares each with the last vertex kept:
+    closer than ``merge_tol``, the degenerate edge collapses and the newer
+    label carries on.  Fewer than three vertices left make the empty polygon.
     """
     a, b, c = h
     band = merge_tol * math.hypot(a, b)
     t2 = merge_tol * merge_tol
-    f = [a * x + b * y - c for x, y in poly]
-    if len(f) >= 3 and max(f) <= band:
-        (x0, y0), (x1, y1) = poly[0], poly[-1]
-        # only the closing edge of a returned polygon can be shorter than merge_tol
-        if (x0 - x1) * (x0 - x1) + (y0 - y1) * (y0 - y1) >= t2:
-            return poly, labels
     out: Polygon = []
     lout: list[int] = []
+    if not poly:
+        return out, lout
     lx = ly = math.inf  # the last vertex kept
-    for p, l, fp, q, fq in zip(poly, labels, f, poly[1:] + poly[:1], f[1:] + f[:1]):
+    px, py = p = poly[0]
+    lp = labels[0]
+    fp = a * px + b * py - c
+    for i in range(1 - len(poly), 1):  # q runs over poly[1], ..., poly[-1], poly[0]
+        qx, qy = q = poly[i]
+        fq = a * qx + b * qy - c
         inside = fp <= band
-        if inside == (fq <= band):
-            emit = ((p, l),) if inside else ()
-        else:
+        if inside:
+            if (px - lx) * (px - lx) + (py - ly) * (py - ly) < t2:
+                lout[-1] = lp  # degenerate edge collapses; the newer cut continues from here
+            else:
+                out.append(p)
+                lout.append(lp)
+                lx, ly = px, py
+        if inside != (fq <= band):
             # clamp against band-induced extrapolation on near-parallel edges
             t = min(max(fp / (fp - fq), 0.0), 1.0)
-            x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            x = px + t * (qx - px)
+            y = py + t * (qy - py)
             # leaving, the new edge runs along the cut line; re-entering, the
             # remainder of the cut edge keeps its label
-            emit = ((p, l), (x, label)) if inside else ((x, l),)
-        for v, k in emit:
-            dx = v[0] - lx
-            dy = v[1] - ly
-            if dx * dx + dy * dy < t2:
-                lout[-1] = k  # degenerate edge collapses; the newer cut continues from here
+            k = label if inside else lp
+            if (x - lx) * (x - lx) + (y - ly) * (y - ly) < t2:
+                lout[-1] = k
             else:
-                out.append(v)
+                out.append((x, y))
                 lout.append(k)
-                lx, ly = v
+                lx, ly = x, y
+        p, px, py, fp, lp = q, qx, qy, fq, labels[i]
     if out and (out[0][0] - lx) * (out[0][0] - lx) + (out[0][1] - ly) * (out[0][1] - ly) < t2:
-        out.pop()
-        lout.pop()
+        del out[-1], lout[-1]
     if len(out) < 3:
         return [], []
     return out, lout

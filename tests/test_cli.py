@@ -222,14 +222,17 @@ class TestMalformedInput:
         assert code == 1
         assert re.fullmatch(r"error: validation: [^\n]+\n", capsys.readouterr().err)
 
-    def test_negative_seed_is_a_validation_error(self, square_files, tmp_path, capsys):
+    def test_negative_seed_is_rejected_before_solving(self, square_files, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before the arguments were checked")
+
+        monkeypatch.setattr(cli.solver, "newton", no_solve)
         mesh_path, sites_path = square_files
-        psi = tmp_path / "psi.json"
-        psi.write_text("[0.25, 0.0]")
         code = cli.main(["interpolate", "--mesh", str(mesh_path), "--sites", str(sites_path),
-                         "--psi", str(psi), "--seed", "-1", "--out-dir", str(tmp_path / "f")])
+                         "--seed", "-1", "--out-dir", str(tmp_path / "f")])
         assert code == 1
-        assert re.fullmatch(r"error: validation: [^\n]+\n", capsys.readouterr().err)
+        assert capsys.readouterr().err == "error: validation: --seed must be nonnegative\n"
         assert not (tmp_path / "f").exists()
 
 

@@ -212,10 +212,6 @@ class TestSample:
     def test_empty(self, unit_square):
         assert domain.sample(unit_square, 0, 1).shape == (0, 2)
 
-    def test_negative_seed_rejected(self, unit_square):
-        with pytest.raises(ValidationError, match="seed must be nonnegative"):
-            domain.sample(unit_square, 10, -1)
-
     def test_uniform_mean(self, unit_square):
         pts = domain.sample(unit_square, 10**6, seed=123)
         sigma = (1 / math.sqrt(12)) / 1e3

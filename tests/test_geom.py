@@ -116,9 +116,9 @@ class TestAgainstReference:
         for poly, labels, h, label in chained_cuts(rng, merge_tol, 1500):
             got = geom.clip_labeled(poly, labels, h, label, merge_tol)
             assert got == reference_clip.clip_labeled(poly, labels, h, label, merge_tol)
-            kept += got[0] is poly
+            kept += got[0] == poly
             emptied += not got[0]
-        assert kept and emptied  # both early exits were taken
+        assert kept and emptied  # cuts that miss the polygon and cuts that empty it
 
     def test_short_closing_edge(self):
         # the reference pops one vertex within merge_tol of the first; the
@@ -132,7 +132,17 @@ class TestAgainstReference:
             assert got == reference_clip.clip_labeled(poly, labels, miss, 9, tol)
             poly, labels = got
             assert poly == want
-        assert geom.clip_labeled(poly, labels, miss, 9, tol)[0] is poly
+        assert geom.clip_labeled(poly, labels, miss, 9, tol) == (poly, labels)
+
+    @pytest.mark.parametrize("width", [1e-13, 1e-3])
+    def test_short_edges_anywhere(self, width):
+        # a strip narrower than merge_tol, as the bounding box of a thin
+        # mesh: its short edges are not the closing one
+        tol = 1e-12
+        strip = [(0.0, 0.0), (width, 0.0), (width, 1.0), (0.0, 1.0)]
+        for h in [(1.0, 0.0, 2.0), (0.0, 1.0, 0.5), (1.0, 1.0, 0.5)]:
+            got = geom.clip_labeled(strip, [0, 1, 2, 3], h, 9, tol)
+            assert got == reference_clip.clip_labeled(strip, [0, 1, 2, 3], h, 9, tol)
 
 
 class TestArea:
