@@ -131,6 +131,18 @@ def make_mesh(vertices, densities, triangles) -> Mesh:
     mesh = Mesh(vertices, densities, triangles)
     if mesh.total_mass <= 0:
         raise ValidationError("mesh total mass must be positive")
+    # laguerre.build merges vertices closer than this, so it would clip a
+    # thinner triangle to nothing, or not at all
+    merge_tol = MERGE_REL * mesh.bbox_diameter
+    a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+    longest = np.max([np.hypot(*(q - p).T) for p, q in ((a, b), (b, c), (c, a))], axis=0)
+    height = 2.0 * mesh.tri_areas / longest
+    if (height <= merge_tol).any():
+        bad = int(np.argmax(height <= merge_tol))
+        raise ValidationError(
+            f"triangle {bad} is {height[bad]:.3g} high, no more than the merge tolerance "
+            f"{merge_tol:.3g} ({MERGE_REL:g} of the bounding-box diagonal)"
+        )
     for arr in (mesh.vertices, mesh.densities, mesh.triangles):
         arr.setflags(write=False)
     return mesh

@@ -19,7 +19,8 @@ contributes the signed integral over the triangle from a fixed origin to
 arrays, is integrated by one vectorised call of :func:`fan_integrals`
 (the moment calculus of Steger 1996, *On the calculation of arbitrary
 moments of polygons*, with a quadrature in place of closed-form moments).
-Polygon lists exist only while ``laguerre.build`` runs; a diagram keeps arrays.
+Polygon lists exist only while ``laguerre.build`` clips each cell against
+its competitors; the restriction to the mesh and the diagram use arrays.
 """
 
 from __future__ import annotations
@@ -101,19 +102,6 @@ def clip_labeled(
     if len(out) < 3:
         return [], []
     return out, lout
-
-
-def area(poly: Polygon) -> float:
-    """Shoelace area; nonnegative for CCW input, zero below 3 vertices."""
-    n = len(poly)
-    if n < 3:
-        return 0.0
-    s = 0.0
-    xn, yn = poly[n - 1]
-    for x, y in poly:
-        s += xn * y - x * yn
-        xn, yn = x, y
-    return 0.5 * s
 
 
 def fan_integrals(o: np.ndarray, p: np.ndarray, q: np.ndarray, f) -> np.ndarray:

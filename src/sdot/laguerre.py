@@ -11,15 +11,21 @@ once (Qhull via ``scipy.spatial.ConvexHull``) and clips the mesh bounding
 box of every cell against the power bisectors of its hull neighbours only,
 about six per cell.  Three ghost sites far outside the mesh keep the lifted
 set full-dimensional for any sites (few, collinear or cocircular) without
-changing a cell inside the mesh bounding box.  Each cell is then
-intersected with the mesh triangles to produce fragments carrying the
-local affine density.
+changing a cell inside the mesh bounding box.
+
+The cells are then restricted to the mesh triangles in arrays, giving
+fragments that carry the local affine density.  They are packed into
+padded rows, and a bucket grid on bounding boxes pairs each cell with the
+triangles it may meet.  A triangle well inside a cell is that pair's
+fragment, and a cell inside a triangle is its own; every other pair goes
+through three padded Sutherland-Hodgman rounds, one triangle edge each,
+which follow ``clip_labeled`` vertex for vertex.
 
 Edges created by a bisector cut keep the competitor's index as a label,
 which is how interface segments (the support of the dual Hessian) are
 collected without any geometric search.  A bisector along the bounding
 rectangle cuts nothing, so each cell's rectangle edges are relabelled once,
-before the triangle clips copy the labels into its fragments.  Each
+before the restriction copies the labels into its fragments.  Each
 interface is recorded from the lower-indexed side only.
 
 The diagram is stored as flat edge arrays: every kept fragment appends its
@@ -48,7 +54,6 @@ from .geom import (
     HalfPlane,
     Point,
     Polygon,
-    area,
     clip_labeled,
     fan_integrals,
 )
@@ -60,6 +65,10 @@ AREA_DROP_REL = 1e-14
 BOUNDARY = -1
 
 ASSIGN_CHUNK = 2**14  # rows of points per block in assign
+RESTRICT_CHUNK = 2**10  # (cell, triangle) pairs per block in the restriction
+# a triangle this many merge_tol inside a cell is its fragment, unclipped, and a
+# cell this far outside a triangle edge misses the triangle
+RESTRICT_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -185,21 +194,14 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
     merge_tol = MERGE_REL * mesh.bbox_diameter
     area_drop = AREA_DROP_REL * max((x1 - x0) * (y1 - y0), merge_tol**2)
     neighbors = _power_neighbors(sites.positions, psi, mesh.bbox)
-    tri_bb = mesh.tri_bboxes
     # native floats: the clipping loops box numpy scalars otherwise
     pos = [tuple(p) for p in sites.positions.tolist()]
     psi_l = psi.tolist()
-    # each CCW triangle's inner half-planes, one per edge a -> b
-    tri_planes = [
-        [(by - ay, ax - bx, (by - ay) * ax + (ax - bx) * ay)
-         for (ax, ay), (bx, by) in ((c[0], c[1]), (c[1], c[2]), (c[2], c[0]))]
-        for c in mesh.vertices[mesh.triangles].tolist()
-    ]
 
-    verts: list[Point] = []  # the fragments' vertices, one fragment after another
-    edge_labels: list[int] = []
-    frags: list[tuple[int, int, int]] = []  # (site, triangle, vertex count)
-
+    cell_site: list[int] = []
+    cell_xy: list[Point] = []  # the cells' vertices, one cell after another
+    cell_labels: list[int] = []
+    cell_size: list[int] = []
     for j in range(n):
         if neighbors[j] is None:  # hidden above the lower hull: empty cell
             continue
@@ -208,37 +210,27 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
         )
         if not cell:
             continue
-        if BOUNDARY in labels:  # the triangle clips carry the labels into each fragment
+        if BOUNDARY in labels:  # the restriction carries the labels into each fragment
             labels = _relabel_boundary_edges(cell, labels, cuts)
+        cell_site.append(j)
+        cell_xy.extend(cell)
+        cell_labels.extend(labels)
+        cell_size.append(len(cell))
 
-        cx = [p[0] for p in cell]
-        cy = [p[1] for p in cell]
-        # triangles whose bbox overlaps the cell bbox (cheap reject)
-        cand = np.nonzero(
-            (tri_bb[:, 0] <= max(cx) + merge_tol)
-            & (tri_bb[:, 2] >= min(cx) - merge_tol)
-            & (tri_bb[:, 1] <= max(cy) + merge_tol)
-            & (tri_bb[:, 3] >= min(cy) - merge_tol)
-        )[0]
+    size = np.array(cell_size, dtype=np.intp)
+    x, y, lab = _padded(size, *np.array(cell_xy, dtype=float).reshape(-1, 2).T,
+                        np.array(cell_labels, dtype=np.intp))
+    del cell_xy, cell_labels  # free the vertex tuples before the restriction
+    # pairs whose bounding boxes overlap (the cell's widened by merge_tol)
+    lo = np.column_stack([x.min(axis=1), y.min(axis=1)]) - merge_tol
+    hi = np.column_stack([x.max(axis=1), y.max(axis=1)]) + merge_tol
+    cell, tri = _box_pairs(np.hstack([lo, hi]), mesh.tri_bboxes)
+    corners = mesh.vertices[mesh.triangles]
+    xy, label, size = _restrict(x, y, lab, size, corners, cell, tri, merge_tol)
 
-        for t in cand.tolist():
-            poly, lab = cell, labels
-            for h in tri_planes[t]:
-                poly, lab = clip_labeled(poly, lab, h, BOUNDARY, merge_tol)
-            if area(poly) < area_drop:  # the empty polygon has area 0
-                continue
-            verts.extend(poly)
-            edge_labels.extend(lab)
-            frags.append((j, t, len(poly)))
-
-    del tri_planes  # free it before the vertex arrays, the build's memory peak
-    frag_site, frag_tri, size = np.array(frags, dtype=np.intp).reshape(-1, 3).T
-    frag = np.repeat(np.arange(len(size)), size)
-    nxt = np.arange(1, len(frag) + 1)
-    nxt[np.cumsum(size) - 1] -= size  # the last edge closes its fragment
-    xy = np.array(verts, dtype=float).reshape(-1, 2)
-    label = np.array(edge_labels, dtype=np.intp)
-    del verts, edge_labels, frags  # free the vertex tuples before the integrals
+    xy, label, nxt, frag, kept = _drop_small(xy, label, size, area_drop)
+    frag_site = np.array(cell_site, dtype=np.intp)[cell[kept]]
+    frag_tri = tri[kept]
     return LaguerreDiagram(mesh, sites, psi, xy, nxt, label, frag, frag_site, frag_tri)
 
 
@@ -329,6 +321,244 @@ def _relabel_boundary_edges(poly, labels, cuts):
                 out[e] = k
                 break
     return out
+
+
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run and rank within the run of each entry when run ``i`` has ``counts[i]`` entries."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
+
+
+def _padded(size: np.ndarray, *flat: np.ndarray) -> list[np.ndarray]:
+    """Rows of ``size.max()`` columns from runs of ``size`` entries of each flat array.
+
+    Row ``i`` holds the ``i``-th run, then copies of its first entry, so a
+    polygon's padding adds only zero-length edges and no new extent.
+    """
+    run, rank = _runs(size)
+    width = int(size.max(initial=1))  # one column even without rows, for the reductions
+    first = np.cumsum(size) - size
+    out = []
+    for values in flat:
+        rows = np.repeat(values[first][:, None], width, axis=1)
+        rows[run, rank] = values
+        out.append(rows)
+    return out
+
+
+def _box_pairs(boxes: np.ndarray, tri_boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, t)`` of boxes and triangle boxes that overlap, sorted.
+
+    Rows are ``(x0, y0, x1, y1)``.  Both sets are registered in a grid of
+    square buckets about the median box size (but no more buckets than
+    four per box); each box meets the triangle boxes of the buckets it
+    covers, and a pair is kept in the one bucket that holds the lower-left
+    corner of its intersection, so no ``(boxes, triangles)`` array is made.
+    """
+    both = np.vstack([boxes, tri_boxes])
+    origin = both[:, :2].min(axis=0)
+    extent = both[:, 2:].max(axis=0) - origin
+    h = max(float(np.median(both[:, 2:] - both[:, :2])),
+            math.sqrt(extent[0] * extent[1] / (4 * len(both))))
+    grid = np.maximum(np.ceil(extent / h).astype(np.intp), 1)
+
+    def cover(bb):
+        """Each box's first bucket (x, y), and (box, bucket) of every bucket it covers."""
+        i0 = np.minimum(((bb[:, :2] - origin) / h).astype(np.intp), grid - 1)
+        i1 = np.minimum(((bb[:, 2:] - origin) / h).astype(np.intp), grid - 1)
+        w = i1 - i0 + 1
+        box, r = _runs(w[:, 0] * w[:, 1])
+        at = i0[box] + np.column_stack([r % w[box, 0], r // w[box, 0]])
+        return i0, box, at[:, 1] * grid[0] + at[:, 0]
+
+    b0, box, bucket = cover(boxes)
+    t0, tri, tri_bucket = cover(tri_boxes)
+    order = np.argsort(tri_bucket, kind="stable")
+    tri = tri[order]
+    start = np.searchsorted(tri_bucket[order], np.arange(grid[0] * grid[1] + 1))
+    q, r = _runs(start[bucket + 1] - start[bucket])
+    box, bucket = box[q], bucket[q]
+    tri = tri[start[bucket] + r]
+    home = np.maximum(b0[box], t0[tri])  # the bucket of the intersection's lower-left corner
+    hit = home[:, 1] * grid[0] + home[:, 0] == bucket
+    box, tri = box[hit], tri[hit]
+    hit = np.ones(len(box), dtype=bool)
+    for k in (0, 1):
+        hit &= (tri_boxes[tri, k] <= boxes[box, k + 2]) & (tri_boxes[tri, k + 2] >= boxes[box, k])
+    key = np.sort(box[hit] * len(tri_boxes) + tri[hit])
+    return key // len(tri_boxes), key % len(tri_boxes)
+
+
+def _restrict(x, y, lab, size, corners, cell, tri, merge_tol):
+    """Each cell ``cell[p]`` clipped by the triangle ``tri[p]``, for every pair ``p``.
+
+    ``x``, ``y`` and ``lab`` are padded rows (see :func:`_padded`) of the
+    cells' CCW vertices and edge labels, ``size`` their vertex counts, and
+    ``corners`` the ``(nt, 3, 2)`` CCW triangle corners.  The result is what
+    ``clip_labeled`` chained over the triangle's inner half-planes, edge
+    ``c0 -> c1`` first, returns, up to rounding and a cyclic rotation:
+    ``(V, 2)`` vertices and ``(V,)`` edge labels of all pairs, one after
+    another, and each pair's vertex count (0 when empty).
+
+    Shortcuts skip the clips.  A triangle whose corners lie inside the
+    cell by a margin of ``RESTRICT_MARGIN * merge_tol`` (plus rounding) is
+    the fragment, with ``BOUNDARY`` labels.  A cell whose vertices all lie
+    within the merge band of the triangle's three half-planes, and whose
+    edges are no shorter than ``merge_tol``, is kept whole by every clip.
+    A cell with every vertex outside one of them by that margin is empty.
+    The other pairs go through three padded rounds of :func:`_clip_rows`,
+    one triangle edge per round.  Pairs go through in blocks of
+    ``RESTRICT_CHUNK`` rows.
+    """
+    # inner half-planes (a, b, c) of each triangle edge k -> k + 1, (nt, 3) each
+    ax, ay = corners[:, :, 0], corners[:, :, 1]
+    bx, by = np.roll(ax, -1, axis=1), np.roll(ay, -1, axis=1)
+    ta, tb = by - ay, ax - bx
+    tc = ta * ax + tb * ay
+    tband = merge_tol * np.hypot(ta, tb)
+    # the same for each cell edge; a padding edge gets 0 <= 1, which holds everywhere
+    pad = np.arange(x.shape[1]) >= size[:, None]
+    qx, qy = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    ca, cb = qy - y, x - qx
+    cc = np.where(pad, 1.0, ca * x + cb * y)
+    # the shortcuts' margin: a few merge bands, and far above the rounding of
+    # a half-plane's value at the cells' scale
+    margin = RESTRICT_MARGIN * merge_tol + 16 * np.finfo(float).eps * np.abs([x, y]).max(initial=0)
+    cmargin = margin * np.hypot(ca, cb)
+    tmargin = margin * np.hypot(ta, tb)
+    # no edge shorter than merge_tol: a clip that keeps every vertex merges none
+    whole = (pad | ((qx - x) ** 2 + (qy - y) ** 2 >= merge_tol * merge_tol)).all(axis=1)
+
+    none = np.zeros(0, dtype=np.intp)
+    xy_out, lab_out, size_out = [np.zeros((0, 2))], [none], [none]
+    for lo in range(0, len(cell), RESTRICT_CHUNK):
+        c, t = cell[lo : lo + RESTRICT_CHUNK], tri[lo : lo + RESTRICT_CHUNK]
+        a, b, h, band, far = ta[t], tb[t], tc[t], tband[t], tmargin[t]
+        tri_in = np.ones(len(c), dtype=bool)
+        cell_in = whole[c]
+        apart = np.zeros(len(c), dtype=bool)
+        for k in range(3):  # corner k against the cell's edges, the cell against edge k
+            tri_in &= (
+                ca[c] * ax[t, k, None] + cb[c] * ay[t, k, None] - cc[c] + cmargin[c] < 0
+            ).all(axis=1)
+            f = a[:, k, None] * x[c] + b[:, k, None] * y[c] - h[:, k, None]
+            cell_in &= (f <= band[:, k, None]).all(axis=1)
+            apart |= (f > far[:, k, None]).all(axis=1)
+        cell_in &= ~tri_in
+        rest = np.flatnonzero(~(tri_in | cell_in | apart))
+        rx, ry, rl, rn = x[c[rest]], y[c[rest]], lab[c[rest]], size[c[rest]]
+        for k in range(3):
+            rx, ry, rl, rn = _clip_rows(
+                rx, ry, rl, rn, a[rest, k], b[rest, k], h[rest, k], band[rest, k], merge_tol
+            )
+        # the block's fragments in pair order, one padded row per pair
+        n = np.where(tri_in, 3, np.where(cell_in, size[c], 0))
+        n[rest] = rn
+        width = max(3, x.shape[1], rx.shape[1])
+        fx, fy = np.zeros((len(c), width)), np.zeros((len(c), width))
+        fl = np.full((len(c), width), BOUNDARY, dtype=np.intp)
+        fx[tri_in, :3], fy[tri_in, :3] = ax[t[tri_in]], ay[t[tri_in]]
+        fx[cell_in, : x.shape[1]], fy[cell_in, : x.shape[1]] = x[c[cell_in]], y[c[cell_in]]
+        fl[cell_in, : x.shape[1]] = lab[c[cell_in]]
+        fx[rest, : rx.shape[1]], fy[rest, : rx.shape[1]], fl[rest, : rx.shape[1]] = rx, ry, rl
+        on = np.arange(width) < n[:, None]
+        xy_out.append(np.column_stack([fx[on], fy[on]]))
+        lab_out.append(fl[on])
+        size_out.append(n)
+    return np.concatenate(xy_out), np.concatenate(lab_out), np.concatenate(size_out)
+
+
+def _drop_small(xy, label, size, area_drop):
+    """Flat edge arrays of the polygons, runs of ``size`` rows, with area at least ``area_drop``.
+
+    Returns the kept rows of ``xy`` and ``label``, the row that ends each
+    kept edge, the fragment of each kept row and which polygons are kept.
+    """
+    run, rank = _runs(size)
+    nxt = np.arange(len(run)) + np.where(rank + 1 == size[run], -rank, 1)  # the last edge closes
+    px, py = xy.T
+    qx, qy = xy[nxt].T
+    kept = 0.5 * np.bincount(run, px * qy - qx * py, minlength=len(size)) >= area_drop
+    rows = kept[run]  # the empty polygon has area 0
+    nxt = (np.cumsum(rows) - 1)[nxt[rows]]
+    return xy[rows], label[rows], nxt, (np.cumsum(kept) - 1)[run[rows]], kept
+
+
+def _clip_rows(x, y, lab, n, a, b, c, band, merge_tol):
+    """One ``clip_labeled`` cut by ``BOUNDARY`` half-plane ``(a[r], b[r], c[r])`` per row ``r``.
+
+    Rows hold ``n[r]`` vertices and edge labels, with any padding after
+    them.  Each edge ``p -> q`` emits ``p`` if ``f(p) <= band`` and then its
+    crossing of the cut line, at ``t = clip(f(p) / (f(p) - f(q)), 0, 1)``,
+    labelled ``BOUNDARY`` when leaving and with the edge's label when
+    re-entering.  An emitted vertex closer than ``merge_tol`` to the last
+    one kept merges into it and passes on its label; a closing edge shorter
+    than ``merge_tol`` drops the last vertex; fewer than 3 make the row empty.
+    """
+    rows, width = x.shape
+    col = np.arange(width)
+    on = col < n[:, None]
+    nxt = np.where(col + 1 < n[:, None], col + 1, 0)
+    f = a[:, None] * x + b[:, None] * y - c[:, None]
+    fq = np.take_along_axis(f, nxt, axis=1)
+    inside = f <= band[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # only crossing edges are read
+        t = np.clip(f / (f - fq), 0.0, 1.0)
+    # candidates, per edge: its start if inside, then its crossing
+    emit = np.stack([on & inside, on & (inside != (fq <= band[:, None]))], axis=2)
+    cx = np.stack([x, x + t * (np.take_along_axis(x, nxt, axis=1) - x)], axis=2)
+    cy = np.stack([y, y + t * (np.take_along_axis(y, nxt, axis=1) - y)], axis=2)
+    cl = np.stack([lab, np.where(inside, BOUNDARY, lab)], axis=2)
+    k, (cx, cy, cl) = _compact(emit.reshape(rows, -1), cx, cy, cl)
+
+    # Merging against the last vertex kept: each decision depends on the
+    # earlier ones only, so iterating from "every vertex kept" settles after
+    # at most as many rounds as the longest run of merges, plus one.
+    idx = np.arange(cx.shape[1])
+    on = idx < k[:, None]
+    t2 = merge_tol * merge_tol
+    merged = np.zeros(cx.shape, dtype=bool)
+    while True:
+        kept = on & ~merged
+        last = np.maximum.accumulate(np.where(kept, idx, -1), axis=1)
+        prev = np.concatenate([np.full((rows, 1), -1), last[:, :-1]], axis=1)
+        dx = cx - np.take_along_axis(cx, np.maximum(prev, 0), axis=1)
+        dy = cy - np.take_along_axis(cy, np.maximum(prev, 0), axis=1)
+        now = on & (prev >= 0) & (dx * dx + dy * dy < t2)
+        if (now == merged).all():
+            break
+        merged = now
+    # a kept vertex takes the label of the last vertex merged into it
+    stop = np.where(kept | ~on, idx, len(idx))
+    after = np.minimum.accumulate(stop[:, ::-1], axis=1)[:, ::-1]
+    after = np.concatenate([after[:, 1:], np.full((rows, 1), len(idx))], axis=1)
+    cl = np.take_along_axis(cl, np.maximum(after - 1, 0), axis=1)
+    k, (cx, cy, cl) = _compact(kept, cx, cy, cl)
+
+    last = np.maximum(k - 1, 0)[:, None]
+    dx = cx[:, :1] - np.take_along_axis(cx, last, axis=1)
+    dy = cy[:, :1] - np.take_along_axis(cy, last, axis=1)
+    k = k - ((k > 0) & (dx * dx + dy * dy < t2)[:, 0])
+    k[k < 3] = 0
+    return cx, cy, cl, k
+
+
+def _compact(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Move each row's entries where ``keep`` holds to its front, in order.
+
+    Returns the count per row and the arrays, as wide as the largest count.
+    """
+    rows = keep.shape[0]
+    k = keep.sum(axis=1)
+    r, col = np.nonzero(keep)
+    dest = np.arange(len(r)) - (np.cumsum(k) - k)[r]
+    out = []
+    for arr in arrays:
+        arr = arr.reshape(keep.shape)
+        packed = np.zeros((rows, int(k.max(initial=1))), dtype=arr.dtype)  # one column at least
+        packed[r, dest] = arr[r, col]
+        out.append(packed)
+    return k, out
 
 
 def assign(points: np.ndarray, sites: SiteSet, psi) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -95,3 +96,29 @@ def polygon_contains(poly, p, tol=0.0):
             return False
         xn, yn = x, y
     return True
+
+
+def area(poly):
+    """Shoelace area; nonnegative for CCW input, zero below 3 vertices."""
+    n = len(poly)
+    if n < 3:
+        return 0.0
+    s = 0.0
+    xn, yn = poly[n - 1]
+    for x, y in poly:
+        s += xn * y - x * yn
+        xn, yn = x, y
+    return 0.5 * s
+
+
+STRIP_TRIANGLES = [[0, 1, 2], [0, 2, 3]]
+
+
+def strip(width, diagonal=False):
+    """Vertices of the two-triangle strip ``[[0, 0], [w, 0], [w, 1], [0, 1]]``,
+    turned 45 degrees about the origin if ``diagonal``."""
+    v = np.array([[0.0, 0.0], [width, 0.0], [width, 1.0], [0.0, 1.0]])
+    if diagonal:
+        c = math.sqrt(0.5)
+        v = v @ np.array([[c, c], [-c, c]])
+    return v

@@ -20,11 +20,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "trace, declared_key", [(0, "end_to_end"), (1, "per_layer")], ids=["trace-0", "trace-1"]
+    "workload, trace, declared_key",
+    [
+        pytest.param("many-sites", 0, "end_to_end", id="trace-0"),
+        pytest.param("many-sites", 1, "per_layer", id="trace-1"),
+        # the workload whose build is mostly triangle restriction
+        pytest.param("fine-mesh", 0, "end_to_end", id="fine-mesh-trace-0"),
+        pytest.param("fine-mesh", 1, "per_layer", id="fine-mesh-trace-1"),
+    ],
 )
-def test_run_emits_every_declared_metric(trace, declared_key):
+def test_run_emits_every_declared_metric(workload, trace, declared_key):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "many-sites", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=600, check=True,
     )

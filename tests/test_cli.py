@@ -9,6 +9,8 @@ import pytest
 from sdot import cli, domain
 from sdot.transport import InterpolationFrame
 
+from conftest import STRIP_TRIANGLES, strip
+
 SITES_CSV = "x,y,nu\n0.25,0.5,0.75\n0.75,0.5,0.25\n"
 TRIANGLE_DMESH = "3 1\n0 0 2\n1 0 2\n0 1 2\n"
 
@@ -294,6 +296,21 @@ class TestDiagram:
         rebuilt = json.loads(cells.read_text())
         assert rebuilt["psi"] == report["psi"]
         assert rebuilt["masses"] == report["masses"]  # bit-identical rebuild
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["axis", "diagonal"])
+    @pytest.mark.parametrize("width", [1e-13, 1e-12])
+    def test_mesh_thinner_than_the_merge_tolerance_is_rejected(self, tmp_path, capsys, width,
+                                                                 diagonal):
+        rows = [f"{x!r} {y!r} 1" for x, y in strip(width, diagonal).tolist()]
+        rows += [" ".join(map(str, t)) for t in STRIP_TRIANGLES]
+        mesh_path = tmp_path / "strip.dmesh"
+        mesh_path.write_text("4 2\n" + "\n".join(rows) + "\n")
+        sites_path = tmp_path / "s.csv"
+        sites_path.write_text("x,y,nu\n0,0.25,0.5\n0,0.75,0.5\n")
+        code = cli.main(["diagram", "--mesh", str(mesh_path), "--sites", str(sites_path),
+                         "--svg", str(tmp_path / "d.svg")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: validation:")
 
 
 class TestInterpolate:

@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from sdot import domain
+from sdot import domain, laguerre
 from sdot.errors import FormatError, ValidationError
+
+from conftest import STRIP_TRIANGLES, strip
 
 SQUARE_DMESH = """\
 # unit square, uniform density
@@ -73,6 +75,29 @@ class TestLoadMesh:
         assert np.array_equal(again.vertices, mesh.vertices)
         assert np.array_equal(again.densities, mesh.densities)
         assert np.array_equal(again.triangles, mesh.triangles)
+
+
+class TestThinMesh:
+    """``build`` merges vertices closer than ``MERGE_REL`` times the bounding-box
+    diagonal, so it cannot clip a triangle thinner than that: on these strips
+    it gave masses [0, 0], or the whole mesh mass to each of two sites."""
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["axis", "diagonal"])
+    @pytest.mark.parametrize("width", [1e-13, 1e-12])
+    def test_rejected(self, width, diagonal):
+        with pytest.raises(ValidationError, match=r"triangle [01] is .* high, no more than"):
+            domain.make_mesh(strip(width, diagonal), np.ones(4), STRIP_TRIANGLES)
+
+    def test_zero_area_keeps_its_message(self):
+        with pytest.raises(ValidationError, match="triangle 1 has zero area"):
+            domain.make_mesh(strip(1.0), np.ones(4), [[0, 1, 2], [0, 2, 2]])
+
+    def test_micron_strip_splits_evenly(self):
+        mesh = domain.make_mesh(strip(1e-6), np.ones(4), STRIP_TRIANGLES)
+        sites = domain.make_sites([[5e-7, 0.25], [5e-7, 0.75]], [1.0, 1.0], mesh.total_mass,
+                                  normalize=True)
+        diag = laguerre.build(mesh, sites, np.zeros(2))
+        assert diag.masses / mesh.total_mass == pytest.approx([0.5, 0.5], rel=1e-12)
 
 
 AWKWARD_REALS = [-0.0, 5e-324, 1e17, 1 / 3, 1.7976931348623157e308]

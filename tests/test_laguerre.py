@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from scipy.spatial import Delaunay
 
 from sdot import domain, laguerre
 from sdot.errors import ValidationError
-from sdot.geom import MERGE_REL, area
+from sdot.geom import MERGE_REL, clip_labeled
 
 import reference_clip
-from conftest import fragments, interface_weight, interfaces, polygon_contains, random_problem
+from conftest import (
+    area, fragments, interface_weight, interfaces, polygon_contains, random_problem,
+)
 
 
 def halfplane_contains(h, p):
@@ -514,3 +517,140 @@ def test_neighbour_keys_do_not_overflow_int32():
     outer = ((corner == 0) | (corner == k - 1)).any(axis=1)
     assert got <= edges
     assert {(a, b) for a, b in edges if not (outer[a] and outer[b])} <= got
+
+
+# Chained clips place a triangle corner with an error of about eps / sin(angle);
+# the shortcut for a triangle inside a cell returns the corner itself.  Mesh
+# triangles this blunt keep the two within the test's 1e-15.
+MIN_ANGLE = 10.0
+
+
+def _restriction_pairs(rng, merge_tol):
+    """Seeded (cell, triangle) pairs: random cells of the unit square cut by
+    random labelled lines, and a CCW triangle per pair from six families."""
+    pairs = []
+    while len(pairs) < 1200:
+        cell = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        labels = [laguerre.BOUNDARY] * 4
+        for k in range(int(rng.integers(1, 6))):
+            a, b = rng.normal(size=2)
+            c = a * rng.uniform(0.2, 0.8) + b * rng.uniform(0.2, 0.8)
+            cell, labels = reference_clip.clip_labeled(cell, labels, (a, b, c), k, merge_tol)
+        if not cell:
+            continue
+        pts = np.array(cell)
+        centre = pts.mean(axis=0)
+        e = int(rng.integers(len(cell)))
+        p, q = pts[e], pts[(e + 1) % len(cell)]
+        d = q - p
+        out = np.array([d[1], -d[0]]) / np.hypot(*d)  # away from the cell
+        kind = len(pairs) % 6
+        if kind == 0:  # anywhere: partial overlaps and empty intersections
+            tri = rng.uniform(-0.2, 1.2, (3, 2))
+        elif kind == 1:  # an edge within two merge bands of the cell edge, slightly tilted
+            s = rng.uniform(-0.5, 1.5, 2)
+            off = rng.uniform(-2.0, 2.0, 2) * merge_tol
+            a, b = (p + s[i] * d + off[i] * out for i in range(2))
+            side = rng.choice([-1.0, 1.0])  # across the edge, or over the cell
+            tri = [a, b, 0.5 * (a + b) + side * rng.uniform(0.05, 0.5) * out]
+        elif kind == 2:  # strictly inside the cell
+            w = rng.dirichlet(np.ones(len(cell)), 3)
+            tri = centre + rng.uniform(0.2, 0.9) * (w @ pts - centre)
+        elif kind == 3:  # around the cell, which every other time closes on a short edge
+            t = rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(3) / 3
+            tri = centre + 3.0 * np.column_stack([np.cos(t), np.sin(t)])
+            if merge_tol and len(pairs) % 12 == 3:
+                d = pts[0] - pts[-1]
+                cell = cell + [tuple(pts[0] - 0.5 * merge_tol * d / np.hypot(*d))]
+                labels = labels + [labels[-1]]
+        elif kind == 4:  # a corner at a cell vertex, as where mesh and cells meet
+            t = rng.uniform(0, 2 * np.pi) + np.array([0.0, rng.uniform(0.3, 2.5)])
+            r = rng.uniform(0.05, 1.0, 2)
+            tri = [p, p + r[0] * np.array([np.cos(t[0]), np.sin(t[0])]),
+                   p + r[1] * np.array([np.cos(t[1]), np.sin(t[1])])]
+        else:  # beyond a cell edge, by up to two merge bands
+            a = p + rng.uniform(0.1, 0.9) * d + rng.uniform(0.0, 2.0) * merge_tol * out
+            tri = [a, a + rng.uniform(0.1, 0.5) * out + 0.3 * d,
+                   a + rng.uniform(0.1, 0.5) * out - 0.3 * d]
+        tri = np.asarray(tri, dtype=float)
+        u = tri[[1, 2, 0]] - tri  # the sides, and below the sides into each corner
+        v = tri[[2, 0, 1]] - tri
+        cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]  # twice the signed area, thrice
+        sines = np.abs(cross) / np.hypot(*u.T) / np.hypot(*v.T)
+        if sines.min() < math.sin(math.radians(MIN_ANGLE)):
+            continue
+        if cross[0] < 0:
+            tri = tri[[0, 2, 1]]
+        pairs.append((cell, labels, [tuple(v) for v in tri.tolist()], kind))
+    return pairs
+
+
+@pytest.mark.parametrize("merge_tol", [0.0, 1e-12, 1e-6])
+def test_restriction_matches_chained_clips(merge_tol):
+    """``_restrict`` returns what ``clip_labeled`` chained over the triangle's
+    three inner half-planes returns, up to a cyclic rotation."""
+    pairs = _restriction_pairs(np.random.default_rng(17), merge_tol)
+    size = np.array([len(cell) for cell, _, _, _ in pairs])
+    x, y, lab = laguerre._padded(
+        size,
+        *np.array([v for cell, _, _, _ in pairs for v in cell]).T,
+        np.array([k for _, labels, _, _ in pairs for k in labels]),
+    )
+    corners = np.array([tri for _, _, tri, _ in pairs])
+    index = np.arange(len(pairs))
+    xy, label, got_size = laguerre._restrict(x, y, lab, size, corners, index, index, merge_tol)
+
+    start = np.concatenate([[0], np.cumsum(got_size)])
+    empty = 0
+    for i, (cell, labels, tri, kind) in enumerate(pairs):
+        want, want_labels = cell, labels
+        for k in range(3):
+            (ax, ay), (bx, by) = tri[k], tri[(k + 1) % 3]
+            h = (by - ay, ax - bx, (by - ay) * ax + (ax - bx) * ay)
+            want, want_labels = clip_labeled(want, want_labels, h, laguerre.BOUNDARY, merge_tol)
+        got = xy[start[i] : start[i + 1]]
+        got_labels = label[start[i] : start[i + 1]].tolist()
+        assert len(got) == len(want), (i, kind)
+        empty += not want
+        if kind == 2:  # the shortcut: the triangle itself
+            assert sorted(map(tuple, got.tolist())) == sorted(tri)
+        if kind == 3 and len(want) == len(cell):  # the other shortcut: the cell itself
+            assert want == cell and got.tolist() == list(map(list, cell)) and got_labels == labels
+        if want:
+            rotations = [
+                r for r in range(len(want)) if got_labels[r:] + got_labels[:r] == want_labels
+            ]
+            error = min((np.abs(np.roll(got, -r, axis=0) - want).max() for r in rotations),
+                        default=np.inf)
+            assert error <= 1e-15, (i, kind)
+    assert 100 <= empty <= len(pairs) - 500
+
+
+def test_fine_mesh_build_clips_few_times_per_cell(monkeypatch):
+    """The restriction clips no (cell, triangle) pair with ``clip_labeled``:
+    the build's clips are the competitor clips of ``_clip_cell`` (about
+    600 per cell when each pair was clipped in turn)."""
+    clip = laguerre.clip_labeled
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return clip(*args)
+
+    monkeypatch.setattr(laguerre, "clip_labeled", counted)
+    mesh = domain.square_mesh(64, "linear-x")
+    k = 8
+    rng = np.random.default_rng(1)
+    i, j = np.meshgrid(np.arange(k), np.arange(k), indexing="xy")
+    positions = (np.column_stack([i.ravel(), j.ravel()]) + 0.25 + 0.5 * rng.random((k * k, 2))) / k
+    sites = domain.make_sites(positions, np.full(k * k, mesh.total_mass / k**2), mesh.total_mass)
+    tracemalloc.start()
+    try:
+        diag = laguerre.build(mesh, sites, np.zeros(k * k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls <= 12 * k * k
+    assert peak <= 10e6
+    assert diag.masses.sum() == pytest.approx(mesh.total_mass, rel=1e-12)

@@ -13,9 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sdot import domain, dual, laguerre
-from sdot.geom import MERGE_REL, area
+from sdot.geom import MERGE_REL
 
-from conftest import fragments, interfaces
+from conftest import area, fragments, interfaces
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
