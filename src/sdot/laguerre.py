@@ -15,11 +15,11 @@ changing a cell inside the mesh bounding box.
 
 The cells are then restricted to the mesh triangles in arrays, giving
 fragments that carry the local affine density.  They are packed into
-padded rows, and a bucket grid on bounding boxes pairs each cell with the
-triangles it may meet.  A triangle well inside a cell is that pair's
-fragment, and a cell inside a triangle is its own; every other pair goes
-through three padded Sutherland-Hodgman rounds, one triangle edge each,
-which follow ``clip_labeled`` vertex for vertex.
+padded rows, and a bounding-box overlap test, run over blocks of cells,
+pairs each cell with the triangles it may meet.  A triangle well inside a
+cell is that pair's fragment, and a cell inside a triangle is its own;
+every other pair goes through three padded Sutherland-Hodgman rounds, one
+triangle edge each, which follow ``clip_labeled`` vertex for vertex.
 
 Edges created by a bisector cut keep the competitor's index as a label,
 which is how interface segments (the support of the dual Hessian) are
@@ -66,8 +66,8 @@ BOUNDARY = -1
 
 ASSIGN_CHUNK = 2**14  # rows of points per block in assign
 RESTRICT_CHUNK = 2**10  # (cell, triangle) pairs per block in the restriction
-# a triangle this many merge_tol inside a cell is its fragment, unclipped, and a
-# cell this far outside a triangle edge misses the triangle
+# a triangle this many merge_tol (over the sine of its smallest angle) inside a
+# cell is its fragment, unclipped
 RESTRICT_MARGIN = 4.0
 
 
@@ -224,7 +224,7 @@ def build(mesh: Mesh, sites: SiteSet, psi) -> LaguerreDiagram:
     # pairs whose bounding boxes overlap (the cell's widened by merge_tol)
     lo = np.column_stack([x.min(axis=1), y.min(axis=1)]) - merge_tol
     hi = np.column_stack([x.max(axis=1), y.max(axis=1)]) + merge_tol
-    cell, tri = _box_pairs(np.hstack([lo, hi]), mesh.tri_bboxes)
+    cell, tri = _box_pairs(lo, hi, mesh.tri_bboxes)
     corners = mesh.vertices[mesh.triangles]
     xy, label, size = _restrict(x, y, lab, size, corners, cell, tri, merge_tol)
 
@@ -346,47 +346,24 @@ def _padded(size: np.ndarray, *flat: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _box_pairs(boxes: np.ndarray, tri_boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(i, t)`` of boxes and triangle boxes that overlap, sorted.
+def _box_pairs(lo, hi, tri_boxes) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted index pairs ``(i, t)`` of overlapping boxes ``lo[i], hi[i]`` and ``tri_boxes[t]``.
 
-    Rows are ``(x0, y0, x1, y1)``.  Both sets are registered in a grid of
-    square buckets about the median box size (but no more buckets than
-    four per box); each box meets the triangle boxes of the buckets it
-    covers, and a pair is kept in the one bucket that holds the lower-left
-    corner of its intersection, so no ``(boxes, triangles)`` array is made.
+    ``tri_boxes`` rows are ``(x0, y0, x1, y1)``.  The boxes go through in
+    blocks of about ``RESTRICT_CHUNK`` pairs, so no ``(boxes, triangles)``
+    array is made.
     """
-    both = np.vstack([boxes, tri_boxes])
-    origin = both[:, :2].min(axis=0)
-    extent = both[:, 2:].max(axis=0) - origin
-    h = max(float(np.median(both[:, 2:] - both[:, :2])),
-            math.sqrt(extent[0] * extent[1] / (4 * len(both))))
-    grid = np.maximum(np.ceil(extent / h).astype(np.intp), 1)
-
-    def cover(bb):
-        """Each box's first bucket (x, y), and (box, bucket) of every bucket it covers."""
-        i0 = np.minimum(((bb[:, :2] - origin) / h).astype(np.intp), grid - 1)
-        i1 = np.minimum(((bb[:, 2:] - origin) / h).astype(np.intp), grid - 1)
-        w = i1 - i0 + 1
-        box, r = _runs(w[:, 0] * w[:, 1])
-        at = i0[box] + np.column_stack([r % w[box, 0], r // w[box, 0]])
-        return i0, box, at[:, 1] * grid[0] + at[:, 0]
-
-    b0, box, bucket = cover(boxes)
-    t0, tri, tri_bucket = cover(tri_boxes)
-    order = np.argsort(tri_bucket, kind="stable")
-    tri = tri[order]
-    start = np.searchsorted(tri_bucket[order], np.arange(grid[0] * grid[1] + 1))
-    q, r = _runs(start[bucket + 1] - start[bucket])
-    box, bucket = box[q], bucket[q]
-    tri = tri[start[bucket] + r]
-    home = np.maximum(b0[box], t0[tri])  # the bucket of the intersection's lower-left corner
-    hit = home[:, 1] * grid[0] + home[:, 0] == bucket
-    box, tri = box[hit], tri[hit]
-    hit = np.ones(len(box), dtype=bool)
-    for k in (0, 1):
-        hit &= (tri_boxes[tri, k] <= boxes[box, k + 2]) & (tri_boxes[tri, k + 2] >= boxes[box, k])
-    key = np.sort(box[hit] * len(tri_boxes) + tri[hit])
-    return key // len(tri_boxes), key % len(tri_boxes)
+    step = RESTRICT_CHUNK // len(tri_boxes) + 1
+    box, tri = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for start in range(0, len(lo), step):
+        b0, b1 = lo[start : start + step, :, None], hi[start : start + step, :, None]
+        i, t = np.nonzero(
+            (tri_boxes[:, 0] <= b1[:, 0]) & (tri_boxes[:, 2] >= b0[:, 0])
+            & (tri_boxes[:, 1] <= b1[:, 1]) & (tri_boxes[:, 3] >= b0[:, 1])
+        )
+        box.append(i + start)
+        tri.append(t)
+    return np.concatenate(box), np.concatenate(tri)
 
 
 def _restrict(x, y, lab, size, corners, cell, tri, merge_tol):
@@ -401,14 +378,13 @@ def _restrict(x, y, lab, size, corners, cell, tri, merge_tol):
     another, and each pair's vertex count (0 when empty).
 
     Shortcuts skip the clips.  A triangle whose corners lie inside the
-    cell by a margin of ``RESTRICT_MARGIN * merge_tol`` (plus rounding) is
-    the fragment, with ``BOUNDARY`` labels.  A cell whose vertices all lie
-    within the merge band of the triangle's three half-planes, and whose
-    edges are no shorter than ``merge_tol``, is kept whole by every clip.
-    A cell with every vertex outside one of them by that margin is empty.
-    The other pairs go through three padded rounds of :func:`_clip_rows`,
-    one triangle edge per round.  Pairs go through in blocks of
-    ``RESTRICT_CHUNK`` rows.
+    cell by a margin of ``RESTRICT_MARGIN * merge_tol`` (plus rounding)
+    over the sine of its smallest angle is the fragment, with ``BOUNDARY``
+    labels.  A cell whose vertices all lie within the merge band of the
+    triangle's three half-planes, and whose edges are no shorter than
+    ``merge_tol``, is kept whole by every clip.  The other pairs go
+    through three padded rounds of :func:`_clip_rows`, one triangle edge
+    per round.  Pairs go through in blocks of ``RESTRICT_CHUNK`` rows.
     """
     # inner half-planes (a, b, c) of each triangle edge k -> k + 1, (nt, 3) each
     ax, ay = corners[:, :, 0], corners[:, :, 1]
@@ -424,8 +400,14 @@ def _restrict(x, y, lab, size, corners, cell, tri, merge_tol):
     # the shortcuts' margin: a few merge bands, and far above the rounding of
     # a half-plane's value at the cells' scale
     margin = RESTRICT_MARGIN * merge_tol + 16 * np.finfo(float).eps * np.abs([x, y]).max(initial=0)
-    cmargin = margin * np.hypot(ca, cb)
-    tmargin = margin * np.hypot(ta, tb)
+    # Chained clips keep a cell vertex within the band of both edges at a
+    # corner, up to merge_tol / sin(angle) past it: scale the margin inside
+    # the cell by 1 / sin of each triangle's smallest angle, the largest
+    # product of two sides over twice the area.
+    side = np.hypot(ta, tb)
+    twice_area = -(ta[:, 0] * (ax[:, 2] - ax[:, 0]) + tb[:, 0] * (ay[:, 2] - ay[:, 0]))
+    corner_margin = margin * (side * np.roll(side, 1, axis=1)).max(axis=1) / twice_area
+    cnorm = np.hypot(ca, cb)
     # no edge shorter than merge_tol: a clip that keeps every vertex merges none
     whole = (pad | ((qx - x) ** 2 + (qy - y) ** 2 >= merge_tol * merge_tol)).all(axis=1)
 
@@ -433,19 +415,18 @@ def _restrict(x, y, lab, size, corners, cell, tri, merge_tol):
     xy_out, lab_out, size_out = [np.zeros((0, 2))], [none], [none]
     for lo in range(0, len(cell), RESTRICT_CHUNK):
         c, t = cell[lo : lo + RESTRICT_CHUNK], tri[lo : lo + RESTRICT_CHUNK]
-        a, b, h, band, far = ta[t], tb[t], tc[t], tband[t], tmargin[t]
+        a, b, h, band = ta[t], tb[t], tc[t], tband[t]
+        cmargin = corner_margin[t, None] * cnorm[c]
         tri_in = np.ones(len(c), dtype=bool)
         cell_in = whole[c]
-        apart = np.zeros(len(c), dtype=bool)
         for k in range(3):  # corner k against the cell's edges, the cell against edge k
             tri_in &= (
-                ca[c] * ax[t, k, None] + cb[c] * ay[t, k, None] - cc[c] + cmargin[c] < 0
+                ca[c] * ax[t, k, None] + cb[c] * ay[t, k, None] - cc[c] + cmargin < 0
             ).all(axis=1)
             f = a[:, k, None] * x[c] + b[:, k, None] * y[c] - h[:, k, None]
             cell_in &= (f <= band[:, k, None]).all(axis=1)
-            apart |= (f > far[:, k, None]).all(axis=1)
         cell_in &= ~tri_in
-        rest = np.flatnonzero(~(tri_in | cell_in | apart))
+        rest = np.flatnonzero(~(tri_in | cell_in))
         rx, ry, rl, rn = x[c[rest]], y[c[rest]], lab[c[rest]], size[c[rest]]
         for k in range(3):
             rx, ry, rl, rn = _clip_rows(

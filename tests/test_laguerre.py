@@ -521,13 +521,14 @@ def test_neighbour_keys_do_not_overflow_int32():
 
 # Chained clips place a triangle corner with an error of about eps / sin(angle);
 # the shortcut for a triangle inside a cell returns the corner itself.  Mesh
-# triangles this blunt keep the two within the test's 1e-15.
+# triangles this blunt keep the two within the test's 1e-15; the sharp family
+# lies too close to a cell edge for the shortcut.
 MIN_ANGLE = 10.0
 
 
 def _restriction_pairs(rng, merge_tol):
     """Seeded (cell, triangle) pairs: random cells of the unit square cut by
-    random labelled lines, and a CCW triangle per pair from six families."""
+    random labelled lines, and a CCW triangle per pair from seven families."""
     pairs = []
     while len(pairs) < 1200:
         cell = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -544,7 +545,7 @@ def _restriction_pairs(rng, merge_tol):
         p, q = pts[e], pts[(e + 1) % len(cell)]
         d = q - p
         out = np.array([d[1], -d[0]]) / np.hypot(*d)  # away from the cell
-        kind = len(pairs) % 6
+        kind = len(pairs) % 7
         if kind == 0:  # anywhere: partial overlaps and empty intersections
             tri = rng.uniform(-0.2, 1.2, (3, 2))
         elif kind == 1:  # an edge within two merge bands of the cell edge, slightly tilted
@@ -559,7 +560,7 @@ def _restriction_pairs(rng, merge_tol):
         elif kind == 3:  # around the cell, which every other time closes on a short edge
             t = rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(3) / 3
             tri = centre + 3.0 * np.column_stack([np.cos(t), np.sin(t)])
-            if merge_tol and len(pairs) % 12 == 3:
+            if merge_tol and len(pairs) % 14 == 3:
                 d = pts[0] - pts[-1]
                 cell = cell + [tuple(pts[0] - 0.5 * merge_tol * d / np.hypot(*d))]
                 labels = labels + [labels[-1]]
@@ -568,21 +569,47 @@ def _restriction_pairs(rng, merge_tol):
             r = rng.uniform(0.05, 1.0, 2)
             tri = [p, p + r[0] * np.array([np.cos(t[0]), np.sin(t[0])]),
                    p + r[1] * np.array([np.cos(t[1]), np.sin(t[1])])]
-        else:  # beyond a cell edge, by up to two merge bands
+        elif kind == 5:  # beyond a cell edge, by up to two merge bands
             a = p + rng.uniform(0.1, 0.9) * d + rng.uniform(0.0, 2.0) * merge_tol * out
             tri = [a, a + rng.uniform(0.1, 0.5) * out + 0.3 * d,
                    a + rng.uniform(0.1, 0.5) * out - 0.3 * d]
+        else:  # a corner of 1 to 10 degrees, which the cell edge passes by a few bands
+            angle = math.radians(rng.uniform(1.0, MIN_ANGLE))
+            past = rng.uniform(-2.0, 2.0 / math.sin(angle)) * merge_tol
+            a = p + rng.uniform(0.2, 0.8) * d - past * out
+            t = math.atan2(-out[1], -out[0]) + rng.uniform(-0.5, 0.5)
+            t = t + angle * np.array([-0.5, 0.5])
+            r = rng.uniform(0.1, 0.4, 2)
+            tri = [a, *(a + r[:, None] * np.column_stack([np.cos(t), np.sin(t)]))]
         tri = np.asarray(tri, dtype=float)
         u = tri[[1, 2, 0]] - tri  # the sides, and below the sides into each corner
         v = tri[[2, 0, 1]] - tri
         cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]  # twice the signed area, thrice
         sines = np.abs(cross) / np.hypot(*u.T) / np.hypot(*v.T)
-        if sines.min() < math.sin(math.radians(MIN_ANGLE)):
+        if kind != 6 and sines.min() < math.sin(math.radians(MIN_ANGLE)):
             continue
         if cross[0] < 0:
             tri = tri[[0, 2, 1]]
         pairs.append((cell, labels, [tuple(v) for v in tri.tolist()], kind))
     return pairs
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2**10])
+def test_box_pairs_are_the_overlapping_boxes(monkeypatch, chunk):
+    monkeypatch.setattr(laguerre, "RESTRICT_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(0.0, 1.0, (40, 2))
+    hi = lo + rng.uniform(0.0, 0.3, (40, 2))
+    t0 = rng.uniform(0.0, 1.0, (25, 2))
+    tri_boxes = np.hstack([t0, t0 + rng.uniform(0.0, 0.3, (25, 2))])
+    tri_boxes[0] = [hi[0, 0], hi[0, 1], 2.0, 2.0]  # touching counts as overlap
+    box, tri = laguerre._box_pairs(lo, hi, tri_boxes)
+    want = [
+        (i, t) for i in range(40) for t in range(25)
+        if (tri_boxes[t, :2] <= hi[i]).all() and (tri_boxes[t, 2:] >= lo[i]).all()
+    ]
+    assert list(zip(box.tolist(), tri.tolist())) == want
+    assert (0, 0) in want
 
 
 @pytest.mark.parametrize("merge_tol", [0.0, 1e-12, 1e-6])
