@@ -122,11 +122,10 @@ def make_mesh(vertices, densities, triangles) -> Mesh:
     flip = signed < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     signed = np.abs(signed)
-    span = max(float(np.ptp(vertices, axis=0).max()), 1.0) if len(vertices) else 1.0
-    tiny = (MERGE_REL * span) ** 2
-    if (signed <= tiny).any():
-        bad = int(np.argmax(signed <= tiny))
-        raise ValidationError(f"triangle {bad} has zero area")
+    tiny = np.finfo(float).tiny  # a subnormal area has lost its precision
+    if (signed < tiny).any():
+        bad = int(np.argmax(signed < tiny))
+        raise ValidationError(f"triangle {bad} has zero area (below {tiny:.3g})")
 
     mesh = Mesh(vertices, densities, triangles)
     if mesh.total_mass <= 0:

@@ -16,10 +16,11 @@ changing a cell inside the mesh bounding box.
 The cells are then restricted to the mesh triangles in arrays, giving
 fragments that carry the local affine density.  They are packed into
 padded rows, and a bounding-box overlap test, run over blocks of cells,
-pairs each cell with the triangles it may meet.  A triangle well inside a
-cell is that pair's fragment, and a cell inside a triangle is its own;
-every other pair goes through three padded Sutherland-Hodgman rounds, one
-triangle edge each, which follow ``clip_labeled`` vertex for vertex.
+pairs each cell with the triangles it may meet.  Every pair goes through
+three padded Sutherland-Hodgman rounds, one triangle edge each, which
+follow ``clip_labeled`` vertex for vertex; the merge of close vertices
+runs only on the rows that hold two candidates closer than the merge
+tolerance.
 
 Edges created by a bisector cut keep the competitor's index as a label,
 which is how interface segments (the support of the dual Hessian) are
@@ -66,9 +67,6 @@ BOUNDARY = -1
 
 ASSIGN_CHUNK = 2**14  # rows of points per block in assign
 RESTRICT_CHUNK = 2**10  # (cell, triangle) pairs per block in the restriction
-# a triangle this many merge_tol (over the sine of its smallest angle) inside a
-# cell is its fragment, unclipped
-RESTRICT_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -254,6 +252,10 @@ def _power_neighbors(positions: np.ndarray, psi: np.ndarray, bbox) -> list[list[
     one horizontal plane and the heaviest site lies strictly below it, so
     Qhull never sees a flat set.  A visible site with only ghost neighbours
     is the one visible site and owns the whole box.
+
+    Qhull gets the plane coordinates less ``c`` over ``R`` and ``psi -
+    psi.max()`` over ``R^2``: this keeps the lower hull, and the lifted set
+    spans about 1 on each axis whatever the scale of the input.
     """
     n = len(positions)
     x0, y0, x1, y1 = bbox
@@ -261,10 +263,8 @@ def _power_neighbors(positions: np.ndarray, psi: np.ndarray, bbox) -> list[list[
     c = 0.5 * (both.min(axis=0) + both.max(axis=0))
     r = float(np.sqrt(((both - c) ** 2).sum(axis=1).max()))
     t = np.radians([0.0, 120.0, 240.0])
-    # centring changes the lifted set by an affine map of the plane
-    # coordinates, which keeps the lower hull and improves conditioning
-    p = np.vstack([positions - c, 4.0 * r * np.column_stack([np.cos(t), np.sin(t)])])
-    q = np.concatenate([psi, np.full(3, psi.max())]) - psi.max()
+    p = np.vstack([(positions - c) / r, 4.0 * np.column_stack([np.cos(t), np.sin(t)])])
+    q = (np.concatenate([psi, np.full(3, psi.max())]) - psi.max()) / r**2
     hull = ConvexHull(np.column_stack([p, (p * p).sum(axis=1) - q]))
     tri = hull.simplices[hull.equations[:, 2] < 0].astype(np.intp)  # i * n + k overflows int32
     i = tri.ravel()
@@ -371,20 +371,13 @@ def _restrict(x, y, lab, size, corners, cell, tri, merge_tol):
 
     ``x``, ``y`` and ``lab`` are padded rows (see :func:`_padded`) of the
     cells' CCW vertices and edge labels, ``size`` their vertex counts, and
-    ``corners`` the ``(nt, 3, 2)`` CCW triangle corners.  The result is what
-    ``clip_labeled`` chained over the triangle's inner half-planes, edge
-    ``c0 -> c1`` first, returns, up to rounding and a cyclic rotation:
-    ``(V, 2)`` vertices and ``(V,)`` edge labels of all pairs, one after
-    another, and each pair's vertex count (0 when empty).
-
-    Shortcuts skip the clips.  A triangle whose corners lie inside the
-    cell by a margin of ``RESTRICT_MARGIN * merge_tol`` (plus rounding)
-    over the sine of its smallest angle is the fragment, with ``BOUNDARY``
-    labels.  A cell whose vertices all lie within the merge band of the
-    triangle's three half-planes, and whose edges are no shorter than
-    ``merge_tol``, is kept whole by every clip.  The other pairs go
+    ``corners`` the ``(nt, 3, 2)`` CCW triangle corners.  Every pair goes
     through three padded rounds of :func:`_clip_rows`, one triangle edge
-    per round.  Pairs go through in blocks of ``RESTRICT_CHUNK`` rows.
+    per round, edge ``c0 -> c1`` first, so the result is exactly what
+    ``clip_labeled`` chained over the triangle's inner half-planes returns:
+    ``(V, 2)`` vertices and ``(V,)`` edge labels of all pairs, one after
+    another, and each pair's vertex count (0 when empty).  Pairs go through
+    in blocks of ``RESTRICT_CHUNK`` rows.
     """
     # inner half-planes (a, b, c) of each triangle edge k -> k + 1, (nt, 3) each
     ax, ay = corners[:, :, 0], corners[:, :, 1]
@@ -392,60 +385,20 @@ def _restrict(x, y, lab, size, corners, cell, tri, merge_tol):
     ta, tb = by - ay, ax - bx
     tc = ta * ax + tb * ay
     tband = merge_tol * np.hypot(ta, tb)
-    # the same for each cell edge; a padding edge gets 0 <= 1, which holds everywhere
-    pad = np.arange(x.shape[1]) >= size[:, None]
-    qx, qy = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-    ca, cb = qy - y, x - qx
-    cc = np.where(pad, 1.0, ca * x + cb * y)
-    # the shortcuts' margin: a few merge bands, and far above the rounding of
-    # a half-plane's value at the cells' scale
-    margin = RESTRICT_MARGIN * merge_tol + 16 * np.finfo(float).eps * np.abs([x, y]).max(initial=0)
-    # Chained clips keep a cell vertex within the band of both edges at a
-    # corner, up to merge_tol / sin(angle) past it: scale the margin inside
-    # the cell by 1 / sin of each triangle's smallest angle, the largest
-    # product of two sides over twice the area.
-    side = np.hypot(ta, tb)
-    twice_area = -(ta[:, 0] * (ax[:, 2] - ax[:, 0]) + tb[:, 0] * (ay[:, 2] - ay[:, 0]))
-    corner_margin = margin * (side * np.roll(side, 1, axis=1)).max(axis=1) / twice_area
-    cnorm = np.hypot(ca, cb)
-    # no edge shorter than merge_tol: a clip that keeps every vertex merges none
-    whole = (pad | ((qx - x) ** 2 + (qy - y) ** 2 >= merge_tol * merge_tol)).all(axis=1)
 
     none = np.zeros(0, dtype=np.intp)
     xy_out, lab_out, size_out = [np.zeros((0, 2))], [none], [none]
     for lo in range(0, len(cell), RESTRICT_CHUNK):
         c, t = cell[lo : lo + RESTRICT_CHUNK], tri[lo : lo + RESTRICT_CHUNK]
-        a, b, h, band = ta[t], tb[t], tc[t], tband[t]
-        cmargin = corner_margin[t, None] * cnorm[c]
-        tri_in = np.ones(len(c), dtype=bool)
-        cell_in = whole[c]
-        for k in range(3):  # corner k against the cell's edges, the cell against edge k
-            tri_in &= (
-                ca[c] * ax[t, k, None] + cb[c] * ay[t, k, None] - cc[c] + cmargin < 0
-            ).all(axis=1)
-            f = a[:, k, None] * x[c] + b[:, k, None] * y[c] - h[:, k, None]
-            cell_in &= (f <= band[:, k, None]).all(axis=1)
-        cell_in &= ~tri_in
-        rest = np.flatnonzero(~(tri_in | cell_in))
-        rx, ry, rl, rn = x[c[rest]], y[c[rest]], lab[c[rest]], size[c[rest]]
+        rx, ry, rl, rn = x[c], y[c], lab[c], size[c]
         for k in range(3):
             rx, ry, rl, rn = _clip_rows(
-                rx, ry, rl, rn, a[rest, k], b[rest, k], h[rest, k], band[rest, k], merge_tol
+                rx, ry, rl, rn, ta[t, k], tb[t, k], tc[t, k], tband[t, k], merge_tol
             )
-        # the block's fragments in pair order, one padded row per pair
-        n = np.where(tri_in, 3, np.where(cell_in, size[c], 0))
-        n[rest] = rn
-        width = max(3, x.shape[1], rx.shape[1])
-        fx, fy = np.zeros((len(c), width)), np.zeros((len(c), width))
-        fl = np.full((len(c), width), BOUNDARY, dtype=np.intp)
-        fx[tri_in, :3], fy[tri_in, :3] = ax[t[tri_in]], ay[t[tri_in]]
-        fx[cell_in, : x.shape[1]], fy[cell_in, : x.shape[1]] = x[c[cell_in]], y[c[cell_in]]
-        fl[cell_in, : x.shape[1]] = lab[c[cell_in]]
-        fx[rest, : rx.shape[1]], fy[rest, : rx.shape[1]], fl[rest, : rx.shape[1]] = rx, ry, rl
-        on = np.arange(width) < n[:, None]
-        xy_out.append(np.column_stack([fx[on], fy[on]]))
-        lab_out.append(fl[on])
-        size_out.append(n)
+        on = np.arange(rx.shape[1]) < rn[:, None]
+        xy_out.append(np.column_stack([rx[on], ry[on]]))
+        lab_out.append(rl[on])
+        size_out.append(rn)
     return np.concatenate(xy_out), np.concatenate(lab_out), np.concatenate(size_out)
 
 
@@ -475,6 +428,8 @@ def _clip_rows(x, y, lab, n, a, b, c, band, merge_tol):
     re-entering.  An emitted vertex closer than ``merge_tol`` to the last
     one kept merges into it and passes on its label; a closing edge shorter
     than ``merge_tol`` drops the last vertex; fewer than 3 make the row empty.
+    Only the rows where two consecutive candidates lie closer than
+    ``merge_tol`` go through the merge.
     """
     rows, width = x.shape
     col = np.arange(width)
@@ -492,29 +447,39 @@ def _clip_rows(x, y, lab, n, a, b, c, band, merge_tol):
     cl = np.stack([lab, np.where(inside, BOUNDARY, lab)], axis=2)
     k, (cx, cy, cl) = _compact(emit.reshape(rows, -1), cx, cy, cl)
 
-    # Merging against the last vertex kept: each decision depends on the
-    # earlier ones only, so iterating from "every vertex kept" settles after
-    # at most as many rounds as the longest run of merges, plus one.
-    idx = np.arange(cx.shape[1])
-    on = idx < k[:, None]
+    # Merging against the last vertex kept.  In a row with no two consecutive
+    # candidates closer than merge_tol, the last vertex kept before each
+    # candidate is the one just before it, so only the other rows can merge.
     t2 = merge_tol * merge_tol
-    merged = np.zeros(cx.shape, dtype=bool)
-    while True:
-        kept = on & ~merged
-        last = np.maximum.accumulate(np.where(kept, idx, -1), axis=1)
-        prev = np.concatenate([np.full((rows, 1), -1), last[:, :-1]], axis=1)
-        dx = cx - np.take_along_axis(cx, np.maximum(prev, 0), axis=1)
-        dy = cy - np.take_along_axis(cy, np.maximum(prev, 0), axis=1)
-        now = on & (prev >= 0) & (dx * dx + dy * dy < t2)
-        if (now == merged).all():
-            break
-        merged = now
-    # a kept vertex takes the label of the last vertex merged into it
-    stop = np.where(kept | ~on, idx, len(idx))
-    after = np.minimum.accumulate(stop[:, ::-1], axis=1)[:, ::-1]
-    after = np.concatenate([after[:, 1:], np.full((rows, 1), len(idx))], axis=1)
-    cl = np.take_along_axis(cl, np.maximum(after - 1, 0), axis=1)
-    k, (cx, cy, cl) = _compact(kept, cx, cy, cl)
+    dx, dy = np.diff(cx, axis=1), np.diff(cy, axis=1)
+    close = (dx * dx + dy * dy < t2) & (np.arange(1, cx.shape[1]) < k[:, None])
+    m = np.flatnonzero(close.any(axis=1))
+    if len(m):
+        # Each decision depends on the earlier ones only, so iterating from
+        # "every vertex kept" settles after at most as many rounds as the
+        # longest run of merges, plus one.
+        mx, my, ml = cx[m], cy[m], cl[m]
+        idx = np.arange(cx.shape[1])
+        on = idx < k[m, None]
+        merged = np.zeros(mx.shape, dtype=bool)
+        while True:
+            kept = on & ~merged
+            last = np.maximum.accumulate(np.where(kept, idx, -1), axis=1)
+            prev = np.concatenate([np.full((len(m), 1), -1), last[:, :-1]], axis=1)
+            dx = mx - np.take_along_axis(mx, np.maximum(prev, 0), axis=1)
+            dy = my - np.take_along_axis(my, np.maximum(prev, 0), axis=1)
+            now = on & (prev >= 0) & (dx * dx + dy * dy < t2)
+            if (now == merged).all():
+                break
+            merged = now
+        # a kept vertex takes the label of the last vertex merged into it
+        stop = np.where(kept | ~on, idx, len(idx))
+        after = np.minimum.accumulate(stop[:, ::-1], axis=1)[:, ::-1]
+        after = np.concatenate([after[:, 1:], np.full((len(m), 1), len(idx))], axis=1)
+        ml = np.take_along_axis(ml, np.maximum(after - 1, 0), axis=1)
+        k[m], packed = _compact(kept, mx, my, ml)
+        for arr, new in zip((cx, cy, cl), packed):
+            arr[m, : new.shape[1]] = new
 
     last = np.maximum(k - 1, 0)[:, None]
     dx = cx[:, :1] - np.take_along_axis(cx, last, axis=1)

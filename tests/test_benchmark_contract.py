@@ -27,6 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
         # the workload whose build is mostly triangle restriction
         pytest.param("fine-mesh", 0, "end_to_end", id="fine-mesh-trace-0"),
         pytest.param("fine-mesh", 1, "per_layer", id="fine-mesh-trace-1"),
+        # the workload that builds once at given weights, then assigns and writes frames
+        pytest.param("post-solve", 0, "end_to_end", id="post-solve-trace-0"),
+        pytest.param("post-solve", 1, "per_layer", id="post-solve-trace-1"),
     ],
 )
 def test_run_emits_every_declared_metric(workload, trace, declared_key):

@@ -92,6 +92,13 @@ class TestThinMesh:
         with pytest.raises(ValidationError, match="triangle 1 has zero area"):
             domain.make_mesh(strip(1.0), np.ones(4), [[0, 1, 2], [0, 2, 2]])
 
+    def test_subnormal_area_counts_as_zero(self):
+        """An area below the smallest normal double has lost its precision: a
+        square mesh of side 1e-160 built to masses 0.7 % off."""
+        unit = domain.square_mesh(4)
+        with pytest.raises(ValidationError, match="triangle 0 has zero area"):
+            domain.make_mesh(unit.vertices * 1e-160, unit.densities, unit.triangles)
+
     def test_micron_strip_splits_evenly(self):
         mesh = domain.make_mesh(strip(1e-6), np.ones(4), STRIP_TRIANGLES)
         sites = domain.make_sites([[5e-7, 0.25], [5e-7, 0.75]], [1.0, 1.0], mesh.total_mass,

@@ -519,13 +519,6 @@ def test_neighbour_keys_do_not_overflow_int32():
     assert {(a, b) for a, b in edges if not (outer[a] and outer[b])} <= got
 
 
-# Chained clips place a triangle corner with an error of about eps / sin(angle);
-# the shortcut for a triangle inside a cell returns the corner itself.  Mesh
-# triangles this blunt keep the two within the test's 1e-15; the sharp family
-# lies too close to a cell edge for the shortcut.
-MIN_ANGLE = 10.0
-
-
 def _restriction_pairs(rng, merge_tol):
     """Seeded (cell, triangle) pairs: random cells of the unit square cut by
     random labelled lines, and a CCW triangle per pair from seven families."""
@@ -574,7 +567,7 @@ def _restriction_pairs(rng, merge_tol):
             tri = [a, a + rng.uniform(0.1, 0.5) * out + 0.3 * d,
                    a + rng.uniform(0.1, 0.5) * out - 0.3 * d]
         else:  # a corner of 1 to 10 degrees, which the cell edge passes by a few bands
-            angle = math.radians(rng.uniform(1.0, MIN_ANGLE))
+            angle = math.radians(rng.uniform(1.0, 10.0))
             past = rng.uniform(-2.0, 2.0 / math.sin(angle)) * merge_tol
             a = p + rng.uniform(0.2, 0.8) * d - past * out
             t = math.atan2(-out[1], -out[0]) + rng.uniform(-0.5, 0.5)
@@ -586,7 +579,7 @@ def _restriction_pairs(rng, merge_tol):
         v = tri[[2, 0, 1]] - tri
         cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]  # twice the signed area, thrice
         sines = np.abs(cross) / np.hypot(*u.T) / np.hypot(*v.T)
-        if kind != 6 and sines.min() < math.sin(math.radians(MIN_ANGLE)):
+        if sines.min() < 1e-3:  # near-degenerate
             continue
         if cross[0] < 0:
             tri = tri[[0, 2, 1]]
@@ -612,10 +605,13 @@ def test_box_pairs_are_the_overlapping_boxes(monkeypatch, chunk):
     assert (0, 0) in want
 
 
+@pytest.mark.parametrize("chunk", [7, 2**10])
 @pytest.mark.parametrize("merge_tol", [0.0, 1e-12, 1e-6])
-def test_restriction_matches_chained_clips(merge_tol):
-    """``_restrict`` returns what ``clip_labeled`` chained over the triangle's
-    three inner half-planes returns, up to a cyclic rotation."""
+def test_restriction_matches_chained_clips(monkeypatch, merge_tol, chunk):
+    """``_restrict`` returns exactly what ``clip_labeled`` chained over the
+    triangle's three inner half-planes returns, up to a cyclic rotation,
+    also where the rows that merge fall at the edges of a block."""
+    monkeypatch.setattr(laguerre, "RESTRICT_CHUNK", chunk)
     pairs = _restriction_pairs(np.random.default_rng(17), merge_tol)
     size = np.array([len(cell) for cell, _, _, _ in pairs])
     x, y, lab = laguerre._padded(
@@ -639,9 +635,7 @@ def test_restriction_matches_chained_clips(merge_tol):
         got_labels = label[start[i] : start[i + 1]].tolist()
         assert len(got) == len(want), (i, kind)
         empty += not want
-        if kind == 2:  # the shortcut: the triangle itself
-            assert sorted(map(tuple, got.tolist())) == sorted(tri)
-        if kind == 3 and len(want) == len(cell):  # the other shortcut: the cell itself
+        if kind == 3 and len(want) == len(cell):  # no round cuts the cell: it comes back as is
             assert want == cell and got.tolist() == list(map(list, cell)) and got_labels == labels
         if want:
             rotations = [
@@ -649,7 +643,7 @@ def test_restriction_matches_chained_clips(merge_tol):
             ]
             error = min((np.abs(np.roll(got, -r, axis=0) - want).max() for r in rotations),
                         default=np.inf)
-            assert error <= 1e-15, (i, kind)
+            assert error == 0.0, (i, kind)
     assert 100 <= empty <= len(pairs) - 500
 
 

@@ -132,6 +132,30 @@ class TestNewton:
         assert report.iterations == 0
         assert len(report.trace) == 0
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.5e-12, 1e20])
+    def test_solution_scales_with_the_instance(self, scale):
+        """Scaling the mesh and the sites by s scales masses and weights by s^2.
+
+        A lifted hull of unscaled coordinates gave masses summing to 1.0008
+        times the mesh mass at 1.5e-12 and a flat-simplex Qhull error at 1e20,
+        and a zero-area floor at the unit scale rejected the two tiny meshes.
+        """
+        unit = domain.square_mesh(4, "linear-x")
+        positions = np.random.default_rng(3).uniform(0.1, 0.9, (12, 2))
+
+        def solve(s):
+            mesh = domain.make_mesh(unit.vertices * s, unit.densities, unit.triangles)
+            sites = domain.make_sites(positions * s, np.ones(12), mesh.total_mass, normalize=True)
+            masses = laguerre.build(mesh, sites, np.zeros(12)).masses
+            return masses / s**2, solver.newton(mesh, sites)
+
+        masses, report = solve(scale)
+        unit_masses, unit_report = solve(1.0)
+        assert masses == pytest.approx(unit_masses, rel=1e-12)
+        assert report.converged
+        assert report.iterations == unit_report.iterations
+        assert report.psi / scale**2 == pytest.approx(unit_report.psi, abs=1e-12)
+
     def test_mass_floor_frozen_at_start(self):
         mesh, sites = random_problem(6, seed=77)
         report = solver.newton(mesh, sites)
