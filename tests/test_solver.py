@@ -137,8 +137,9 @@ class TestNewton:
         """Scaling the mesh and the sites by s scales masses and weights by s^2.
 
         A lifted hull of unscaled coordinates gave masses summing to 1.0008
-        times the mesh mass at 1.5e-12 and a flat-simplex Qhull error at 1e20,
-        and a zero-area floor at the unit scale rejected the two tiny meshes.
+        times the mesh mass on the unit square at 1.5e-12 and a flat-simplex
+        Qhull error at 1e20, and a zero-area floor set at the unit scale
+        rejected the two tiny meshes.
         """
         unit = domain.square_mesh(4, "linear-x")
         positions = np.random.default_rng(3).uniform(0.1, 0.9, (12, 2))
